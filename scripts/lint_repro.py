@@ -3,7 +3,7 @@
 
 Ruff catches generic Python mistakes; this lint encodes the invariants
 that make *this* repo's campaigns resumable and its artifacts
-auditable.  Four checks, each with a stable id:
+auditable.  Eight checks, each with a stable id:
 
 * ``RL001`` -- no unseeded ``random.Random()`` outside ``tests/``:
   every stochastic component (workload generators, the annealing
@@ -41,6 +41,11 @@ auditable.  Four checks, each with a stable id:
   and every duration is measured the same way.  The sanctioned sites
   (the console/dashboard rendering layer, the one ``perf_counter``
   call in ``obs/timing.py``) carry ``RL007`` on the line.
+* ``RL008`` -- no ``except ImportError`` (or its subclass
+  ``ModuleNotFoundError``, alone or in a tuple) inside
+  ``src/repro``: every dependency the package imports is a hard
+  dependency, so a fallback for a missing one is dead code that
+  drifts from the path it shadows.
 
 Usage:
     python scripts/lint_repro.py            # lint src/ + scripts/
@@ -84,6 +89,10 @@ TIMER_CALLS = {
     ("time", "time"),
     ("time", "time_ns"),
 }
+
+
+#: Exceptions that only a missing module raises (RL008).
+IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
 
 
 def is_test_path(path: Path) -> bool:
@@ -305,6 +314,28 @@ def check_print_and_timers(
     return problems
 
 
+def check_import_fallbacks(path: Path, tree: ast.AST) -> "list[str]":
+    """RL008: ``except ImportError`` handlers inside ``src/repro``."""
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        if isinstance(node.type, ast.Tuple):
+            caught = node.type.elts
+        else:
+            caught = [node.type]
+        if any(
+            isinstance(item, ast.Name) and item.id in IMPORT_ERRORS
+            for item in caught
+        ):
+            problems.append(
+                f"{path}:{node.lineno}: RL008 except ImportError in "
+                f"library code (dependencies are hard requirements; "
+                f"a missing-module fallback is dead code)"
+            )
+    return problems
+
+
 def _in_schedule_package(path: Path) -> bool:
     normalized = str(path).replace("\\", "/")
     return "repro/schedule/" in normalized
@@ -338,6 +369,7 @@ def lint_file(path: Path) -> "list[str]":
     if not is_test_path(path) and _in_repro_package(path):
         problems += check_print_and_timers(path, tree,
                                            source.splitlines())
+        problems += check_import_fallbacks(path, tree)
     return problems
 
 

@@ -1,7 +1,6 @@
-"""Reporting and sweep utilities shared by benchmarks and examples."""
+"""Reporting utilities shared by benchmarks and examples."""
 
 from repro.analysis.tables import format_table
 from repro.analysis.report import ComparisonRow, comparison_table
-from repro.analysis.sweep import sweep
 
-__all__ = ["format_table", "ComparisonRow", "comparison_table", "sweep"]
+__all__ = ["format_table", "ComparisonRow", "comparison_table"]

@@ -327,6 +327,17 @@ class DesignedTam:
             capture_syndromes=config.capture_syndromes,
             verify=config.verify,
         )
+        return self._simulated_result(config, program, facade.total_cas_ge)
+
+    def _simulated_result(self, config: RunConfig, program,
+                          area_ge: float) -> RunResult:
+        """The :class:`RunResult` of one simulated ``program``.
+
+        Shared by :meth:`_simulate` and the runner's batch dispatch,
+        which simulates many fault scenarios of one design at once.
+        """
+        soc = self.workload.soc
+        assert soc is not None
         sessions = tuple(
             SessionDetail(
                 label=session.label,
@@ -345,7 +356,7 @@ class DesignedTam:
             test_cycles=program.test_cycles,
             config_cycles=program.config_cycles,
             extra_pins=soc.bus_width,
-            area_ge=facade.total_cas_ge,
+            area_ge=area_ge,
             source=SOURCE_SIMULATION,
             passed=program.passed,
             sessions=sessions,
@@ -362,12 +373,6 @@ class CasBusArchitecture(TamArchitecture):
 
     def model(self, *, scheduler=None, cas_policy=None) -> TamBaseline:
         return CasBusTam(policy=cas_policy, scheduler=scheduler)
-
-    def facade(self, soc: SocSpec):
-        """The legacy :class:`~repro.core.tam.CasBusTamDesign` shim."""
-        from repro.core.tam import CasBusTamDesign
-
-        return CasBusTamDesign.for_soc(soc)
 
 
 class FixedModelArchitecture(TamArchitecture):

@@ -10,13 +10,6 @@ up front and routed through a single vectorized simulator dispatch
 (:mod:`repro.sim.batch`) instead of one process per scenario.  :func:`sweep_experiments` builds the standard
 design-space grid (architectures x bus widths x schedulers) and
 :func:`run_sweep` is the one-call version benchmarks use.
-
-This supersedes :func:`repro.analysis.sweep.sweep` for experiment
-work: that helper tabulates a single callable over one parameter, while
-``run_many`` understands experiments, uses every core, and returns
-structured :class:`~repro.api.results.RunResult` objects
-(:func:`repro.api.results.results_table` turns them into
-``format_table`` input).
 """
 
 from __future__ import annotations
@@ -33,12 +26,7 @@ from repro.obs.timing import stopwatch
 from repro.api.architectures import WorkloadLike
 from repro.api.experiment import Experiment
 from repro.api.registry import get_architecture, get_scheduler
-from repro.api.results import (
-    SOURCE_SIMULATION,
-    RunConfig,
-    RunResult,
-    SessionDetail,
-)
+from repro.api.results import RunConfig, RunResult
 
 #: Progress callback: ``on_result(experiment, result, cached=..., elapsed=...)``
 #: invoked once per experiment as its result becomes available.
@@ -171,41 +159,15 @@ def _run_batch_group(
         programs = executor.run_batch(
             plan, [item.config.inject_faults for item in items]
         )
-    except (ImportError, ConfigurationError):
+    except ConfigurationError:
         return None
     elapsed = watch.elapsed / len(items)
-    architecture = get_architecture(config.architecture).key
-    scheduler = get_scheduler(config.scheduler).name
-    executed: list[tuple[RunResult, float]] = []
-    for item, program in zip(items, programs):
-        sessions = tuple(
-            SessionDetail(
-                label=session.label,
-                config_cycles=session.config_cycles,
-                test_cycles=session.test_cycles,
-                cores=tuple(r.name for r in session.core_results),
-                passed=session.passed,
-            )
-            for session in program.sessions
-        )
-        executed.append((
-            RunResult(
-                architecture=architecture,
-                scheduler=scheduler,
-                workload=item.workload.name,
-                bus_width=soc.bus_width,
-                test_cycles=program.test_cycles,
-                config_cycles=program.config_cycles,
-                extra_pins=soc.bus_width,
-                area_ge=facade.total_cas_ge,
-                source=SOURCE_SIMULATION,
-                passed=program.passed,
-                sessions=sessions,
-                label=item.config.label,
-            ),
-            elapsed,
-        ))
-    return executed
+    area_ge = facade.total_cas_ge
+    return [
+        (item.build()._simulated_result(item.config, program, area_ge),
+         elapsed)
+        for item, program in zip(items, programs)
+    ]
 
 
 def _stream(

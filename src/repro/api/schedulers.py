@@ -40,14 +40,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 from repro.soc.core import CoreTestParams
+from repro.schedule.model import cost_model
 from repro.schedule.optimize import optimize_anneal, optimize_bnb
 from repro.schedule.preemptive import schedule_preemptive
 from repro.schedule.reconfig import compare_reconfiguration, static_partition
-from repro.schedule.scheduler import (
-    schedule_exhaustive,
-    schedule_greedy,
-    session_config_cost,
-)
+from repro.schedule.scheduler import schedule_exhaustive, schedule_greedy
 from repro.api.registry import register_scheduler
 
 
@@ -180,7 +177,9 @@ def _run_balanced_lpt(cores, bus_width, *, charge_config, cas_policy):
     if charge_config and cores:
         # One all-parallel session: every core's WIR is spliced in the
         # single configuration pass.
-        config = session_config_cost(cores, bus_width, cores, cas_policy)
+        config = cost_model(
+            cores, bus_width, cas_policy
+        ).session_config_cycles(len(cores))
     return plan.total_cycles, config, plan
 
 

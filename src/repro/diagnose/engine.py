@@ -38,7 +38,6 @@ from repro.errors import ConfigurationError
 from repro.bist.engine import BistEngine
 from repro.bist.lfsr import Lfsr
 from repro.bist.misr import Misr
-from repro.scan.fault_sim import pack_patterns
 from repro.scan.faults import core_fault_list
 from repro.soc.core import CoreSpec, TestMethod
 from repro.soc.soc import SocSpec
@@ -343,56 +342,24 @@ def _scan_dictionary(spec: CoreSpec) -> "tuple[DictionaryEntry, ...]":
     """Pattern-parallel diff of every fault against the golden responses.
 
     All faults run through the vectorized batch kernel in a handful of
-    array dispatches (:func:`repro.sim.batch.scan_fault_failing_sets`);
-    without numpy, the original word-at-a-time scalar loop computes the
-    identical sets.
+    array dispatches (:func:`repro.sim.batch.scan_fault_failing_sets`).
     """
+    # Function-local: store verification imports this module on the
+    # model-only path, which must not pay for loading numpy.
+    from repro.sim.batch import scan_fault_failing_sets
+
     core = spec.build_scannable()
-    patterns = test_set_for(spec).patterns
-    if not patterns:
+    if not test_set_for(spec).patterns:
         return ()
     fault_pairs = [
         (fault.node, fault.stuck_value) for fault in core_fault_list(core)
     ]
-    try:
-        from repro.sim.batch import scan_fault_failing_sets
-    except ImportError:
-        failing_sets = _scan_failing_sets_scalar(core, patterns, fault_pairs)
-    else:
-        failing_sets = scan_fault_failing_sets(spec, fault_pairs)
+    failing_sets = scan_fault_failing_sets(spec, fault_pairs)
     by_key: "dict[object, list]" = {}
     for fault, failing in zip(fault_pairs, failing_sets):
         if failing:
             by_key.setdefault(frozenset(failing), []).append(fault)
     return _group(by_key)
-
-
-def _scan_failing_sets_scalar(
-    core, patterns, fault_pairs
-) -> "list[set[tuple[int, int]]]":
-    """Per-fault failing ``(pattern, output)`` sets, one fault at a time."""
-    batches = pack_patterns(core, patterns)
-    goldens = [
-        core.cloud.evaluate_words(batch.input_words, batch.mask)
-        for batch in batches
-    ]
-    failing_sets: "list[set[tuple[int, int]]]" = []
-    for fault in fault_pairs:
-        failing: "set[tuple[int, int]]" = set()
-        base = 0
-        for batch, golden in zip(batches, goldens):
-            faulty = core.cloud.evaluate_words(
-                batch.input_words, batch.mask, fault=fault,
-            )
-            for output, (good, bad) in enumerate(zip(golden, faulty)):
-                diff = (good ^ bad) & batch.mask
-                while diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    failing.add((base + bit, output))
-                    diff &= diff - 1
-            base += batch.count
-        failing_sets.append(failing)
-    return failing_sets
 
 
 def _bist_dictionary(spec: CoreSpec) -> "tuple[DictionaryEntry, ...]":

@@ -48,25 +48,7 @@ __all__ = [
     "lower_bound",
     "schedule_exhaustive",
     "schedule_greedy",
-    "session_config_cost",
 ]
-
-
-def session_config_cost(
-    all_cores: Sequence[CoreTestParams],
-    bus_width: int,
-    tested: Sequence[CoreTestParams],
-    cas_policy: str | None = "all",
-) -> int:
-    """Config cost of one session in the abstract model.
-
-    One stage-A pass (splice) and one stage-B pass with the tested
-    cores' WIRs spliced -- matching the executor's protocol.  Thin
-    shim over :meth:`repro.schedule.model.CostModel.session_config_cycles`
-    for callers without a model at hand.
-    """
-    model = cost_model(all_cores, bus_width, cas_policy)
-    return model.session_config_cycles(len(tested))
 
 
 def schedule_greedy(

@@ -43,10 +43,6 @@ Entry points, innermost to outermost:
   scenario instances, deduplicating work across scenarios that share a
   per-core fault, with per-scenario scalar fallback for transport
   defects the kernel premise excludes.
-
-This is the only module that imports numpy at module level; every
-consumer imports it lazily and falls back to the scalar backends when
-numpy is unavailable.
 """
 
 from __future__ import annotations

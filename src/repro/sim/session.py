@@ -26,8 +26,7 @@ Two interchangeable backends execute plans:
   sessions are lowered once into bit-packed integer programs and run
   as whole shift bursts.  Much faster, bit-exact.
 * ``"batch"`` -- the compiled kernel with scan captures executed on
-  the vectorized array evaluator of :mod:`repro.sim.batch` (requires
-  numpy; silently degrades to ``"kernel"`` without it).  Bit-exact,
+  the vectorized array evaluator of :mod:`repro.sim.batch`.  Bit-exact,
   and the backend :meth:`SessionExecutor.run_batch` amortises over
   whole scenario batches.
 * ``"legacy"`` -- the original object-stepping path below: every cycle
@@ -42,7 +41,7 @@ The default ``backend="auto"`` picks the kernel whenever it applies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro import values as lv
 from repro.diagnose.syndrome import (
@@ -228,12 +227,10 @@ class SessionExecutor:
 
         executor_class = KernelExecutor
         if self.backend == "batch":
-            try:
-                from repro.sim.batch import BatchKernelExecutor
-            except ImportError:
-                pass  # no numpy: the scalar kernel is bit-identical
-            else:
-                executor_class = BatchKernelExecutor
+            # Function-local: repro.sim.batch imports this module.
+            from repro.sim.batch import BatchKernelExecutor
+
+            executor_class = BatchKernelExecutor
         if self._kernel is None:
             self._kernel = executor_class(
                 self.system, test_sets=self._test_sets,
@@ -277,25 +274,32 @@ class SessionExecutor:
         Same-geometry scenarios execute through the vectorized batch
         kernel (:mod:`repro.sim.batch`) in one dispatch per shift
         window; scenarios the kernel cannot express (transport
-        defects), ``backend="legacy"``, or a missing numpy fall back
-        to per-scenario scalar runs transparently.
+        defects) and ``backend="legacy"`` fall back to per-scenario
+        scalar runs transparently.  Raises
+        :class:`~repro.errors.ConfigurationError` when a trace
+        recorder is attached: the scenarios run on fresh instances
+        that never see it.
         """
+        # Function-local: repro.sim.batch imports this module.
+        from repro.sim.batch import BatchExecutor, scenario_system
+
+        if self.trace is not None:
+            raise ConfigurationError(
+                "run_batch executes every scenario on a fresh system "
+                "instance and records no trace; use run_plan on a "
+                "system with the scenario applied for tracing"
+            )
         scenarios = list(scenarios)
-        if self.backend != "legacy" and self.trace is None:
-            try:
-                from repro.sim.batch import BatchExecutor
-            except ImportError:
-                pass  # no numpy: per-scenario scalar runs below
-            else:
-                return BatchExecutor(
-                    self.system.soc,
-                    capture_syndromes=self.capture_syndromes,
-                    verify=self.verify,
-                ).run_batch(plan, scenarios)
+        if self.backend != "legacy":
+            return BatchExecutor(
+                self.system.soc,
+                capture_syndromes=self.capture_syndromes,
+                verify=self.verify,
+            ).run_batch(plan, scenarios)
         results = []
         for scenario in scenarios:  # RL005: this IS the scalar fallback
             executor = SessionExecutor(
-                _scenario_system(self.system.soc, scenario),
+                scenario_system(self.system.soc, scenario),
                 backend=self.backend,
                 capture_syndromes=self.capture_syndromes,
                 verify=self.verify,
@@ -674,24 +678,6 @@ class SessionExecutor:
 
 def _to_bit(value: int) -> int:
     return 1 if value == lv.ONE else 0
-
-
-def _scenario_system(soc, scenario):
-    """A fresh system with one :meth:`SessionExecutor.run_batch`
-    scenario applied (numpy-free twin of the batch module's helper)."""
-    from repro.diagnose.inject import DefectScenario, build_faulty_system
-    from repro.sim.system import build_system
-
-    if scenario is None:
-        return build_system(soc)
-    if isinstance(scenario, DefectScenario):
-        return build_faulty_system(soc, scenario)
-    if isinstance(scenario, Mapping):
-        return build_system(soc, inject_faults=dict(scenario))
-    raise ConfigurationError(
-        f"cannot interpret scenario {scenario!r}; expected None, a "
-        f"fault mapping, or a DefectScenario"
-    )
 
 
 class _TerminalDriver:

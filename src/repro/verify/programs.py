@@ -161,9 +161,7 @@ def verify_batch_program(
     scan coordinates are internally consistent; PRG006 proves the
     packed golden responses agree bit-for-bit with the scalar
     program's want/care words at every output position.  Works on
-    plain Python ints (``tolist``), so this module still imports
-    without numpy -- a batch program can only exist where
-    :mod:`repro.sim.batch` already loaded it.
+    plain Python ints (``tolist``).
     """
     if report is None:
         report = VerifyReport()

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.soc.core import CoreTestParams
-from repro.schedule.model import CostModel, Schedule, TamProblem
+from repro.schedule.model import CostModel, Schedule, TamProblem, cost_model
 from repro.schedule.optimize import OptimizeOutcome
 from repro.schedule.preemptive import PreemptiveSchedule
 from repro.schedule.reconfig import ReconfigComparison, StaticPlan
@@ -332,16 +332,13 @@ def _derive_totals(
                           location=location)
         return detail.test_cycles, detail.config_cycles_total
     if isinstance(detail, StaticPlan):
-        from repro.schedule.scheduler import session_config_cost
-
         verify_static_plan(detail, problem, report=report,
                            location=location)
         config = 0
         if problem.cores:
-            config = session_config_cost(
-                problem.cores, problem.bus_width, problem.cores,
-                problem.cas_policy,
-            )
+            config = cost_model(
+                problem.cores, problem.bus_width, problem.cas_policy,
+            ).session_config_cycles(len(problem.cores))
         return detail.total_cycles, config
     if isinstance(detail, ReconfigComparison):
         verify_schedule(detail.reconfigured, problem,

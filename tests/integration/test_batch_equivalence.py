@@ -182,6 +182,23 @@ class TestEntryPoints:
             soc, plan, scenarios[:3], backend="legacy"
         )
 
+    @pytest.mark.parametrize("backend", ["auto", "legacy"])
+    def test_run_batch_rejects_trace_recorder(self, backend):
+        """Batch scenarios run on fresh instances that never see the
+        recorder, so asking for a trace is an error, not a silent
+        empty trace."""
+        from repro.errors import ConfigurationError
+        from repro.sim.trace import TraceRecorder
+
+        soc, scenarios = _fig1_scenarios()
+        trace = TraceRecorder()
+        executor = SessionExecutor(
+            build_system(soc), trace=trace, backend=backend
+        )
+        with pytest.raises(ConfigurationError, match="trace"):
+            executor.run_batch(_plan(soc), scenarios[:2])
+        assert not trace.changes
+
     def test_run_many_routes_fault_sweeps(self):
         from repro.api import Experiment
         from repro.api.runner import _batch_partition, run_many

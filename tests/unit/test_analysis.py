@@ -1,10 +1,9 @@
-"""Unit tests for tables, reports, sweeps and the VCD/trace utilities."""
+"""Unit tests for tables, reports and the VCD/trace utilities."""
 
 from __future__ import annotations
 
 from repro import values as lv
 from repro.analysis.report import ComparisonRow, comparison_table
-from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 from repro.sim.trace import TraceRecorder
 from repro.sim.vcd import render_vcd
@@ -49,17 +48,6 @@ class TestReport:
         )
         assert "1.69" in text
         assert "paper" in text
-
-
-class TestSweep:
-    def test_sweep_shapes(self):
-        headers, rows = sweep(
-            [1, 2, 3],
-            lambda n: {"square": n * n},
-            parameter_name="n",
-        )
-        assert headers == ["n", "square"]
-        assert rows == [[1, 1], [2, 4], [3, 9]]
 
 
 class TestTraceAndVcd:

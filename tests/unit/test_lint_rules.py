@@ -1,4 +1,4 @@
-"""The project lint's RL005, RL006 and RL007 rules.
+"""The project lint's RL005, RL006, RL007 and RL008 rules.
 
 RL005 exists because the batch kernel makes the obvious
 ``for scenario in scenarios: executor.run_plan(...)`` loop an
@@ -20,6 +20,10 @@ and ``--json`` stay coherent) and nothing builds its own timer
 (durations flow through ``repro.obs.timing``).  The sanctioned sites
 -- the console/dashboard rendering layer, the one ``perf_counter``
 call in ``obs/timing.py`` -- carry ``RL007`` waiver comments.
+
+RL008 keeps the optional-dependency world from growing back: numpy
+and every other import of ``src/repro`` is a hard dependency, so an
+``except ImportError`` fallback there is dead code with no waiver.
 """
 
 from __future__ import annotations
@@ -235,3 +239,64 @@ class TestRl007:
             "obs/dashboard.py",
             "obs/timing.py",
         }
+
+
+def _check_rl008(lint, source: str, path: str = "src/repro/example.py"):
+    return lint.check_import_fallbacks(Path(path), ast.parse(source))
+
+
+class TestRl008:
+    def test_flags_import_error_fallback(self, lint):
+        """Mutation test: the numpy fallback shape this rule retired."""
+        problems = _check_rl008(lint, (
+            "try:\n"
+            "    from repro.sim.batch import BatchExecutor\n"
+            "except ImportError:\n"
+            "    BatchExecutor = None\n"
+        ))
+        assert len(problems) == 1
+        assert "RL008" in problems[0]
+        assert ":3:" in problems[0]
+
+    def test_flags_import_error_in_tuple(self, lint):
+        problems = _check_rl008(lint, (
+            "try:\n"
+            "    run()\n"
+            "except (ImportError, ConfigurationError):\n"
+            "    pass\n"
+        ))
+        assert len(problems) == 1
+
+    def test_flags_module_not_found_error(self, lint):
+        assert len(_check_rl008(lint, (
+            "try:\n"
+            "    import numpy\n"
+            "except ModuleNotFoundError:\n"
+            "    numpy = None\n"
+        ))) == 1
+
+    def test_ignores_other_handlers(self, lint):
+        assert _check_rl008(lint, (
+            "try:\n"
+            "    run()\n"
+            "except (ConfigurationError, OSError):\n"
+            "    pass\n"
+            "except Exception:\n"
+            "    raise\n"
+            "try:\n"
+            "    run()\n"
+            "except:\n"
+            "    raise\n"
+        )) == []
+
+    def test_scoped_to_repro_package(self, lint, tmp_path):
+        source = "try:\n    import x\nexcept ImportError:\n    x = None\n"
+        outside = tmp_path / "scripts" / "tool.py"
+        outside.parent.mkdir()
+        outside.write_text(source)
+        assert lint.lint_file(outside) == []
+        inside = tmp_path / "src" / "repro" / "mod.py"
+        inside.parent.mkdir(parents=True)
+        inside.write_text(source)
+        problems = lint.lint_file(inside)
+        assert len(problems) == 1 and "RL008" in problems[0]

@@ -20,7 +20,6 @@ from repro.schedule.model import (
 from repro.schedule.scheduler import (
     lower_bound,
     schedule_exhaustive,
-    session_config_cost,
 )
 from repro.schedule.timing import (
     cas_config_bits,
@@ -92,13 +91,6 @@ class TestCostAccounting:
         )
         assert model.cas_bits == expected
         assert model.config_bits == expected
-
-    def test_session_config_matches_legacy_helper(self):
-        cores = d695_like()
-        model = cost_model(cores, 16)
-        for tested in (cores[:1], cores[:4], cores):
-            assert model.session_config_cycles(len(tested)) == \
-                session_config_cost(cores, 16, tested)
 
     def test_boundary_config_is_one_wir_session(self):
         model = cost_model(d695_like(), 8)

@@ -4,8 +4,9 @@ The integration suite (``tests/integration/test_batch_equivalence.py``)
 pins whole-program equivalence; these tests pin the building blocks in
 isolation: the popcount kernels agree with each other and with Python,
 the array cloud evaluator is a bit-exact twin of the scalar word
-evaluator (including stuck-at forcing), programs cache per spec, and
-scenario normalization routes each scenario kind to the right path.
+evaluator (including stuck-at forcing), per-fault failing sets match a
+fault-at-a-time scalar diff, programs cache per spec, and scenario
+normalization routes each scenario kind to the right path.
 """
 
 from __future__ import annotations
@@ -16,15 +17,21 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.api import get_workload
 from repro.scan.core_model import CombCloud
+from repro.scan.fault_sim import pack_patterns
+from repro.scan.faults import core_fault_list
 from repro.sim.batch import (
     _popcount_words,
     _popcount_words_swar,
     batch_scan_program,
     clear_batch_cache,
     evaluate_cloud_array,
+    scan_fault_failing_sets,
     scenario_overlay,
 )
+from repro.sim import testsets
+from repro.soc.core import TestMethod
 from repro.soc.library import fig1_soc
 
 
@@ -108,6 +115,59 @@ class TestCloudArrayEvaluator:
                 np.zeros((3, 2), dtype=np.uint64),
                 np.ones(2, dtype=np.uint64),
             )
+
+
+def _scan_specs():
+    """Every fig 1 scan core (nested ones included) plus one d695 core."""
+    specs = []
+    for core in fig1_soc().cores:
+        if core.method == TestMethod.HIERARCHICAL:
+            specs.extend(core.inner.cores)
+        elif core.method == TestMethod.SCAN:
+            specs.append(core)
+    specs.append(get_workload("itc02-d695-soc").soc.core_named("c6"))
+    return specs
+
+
+def _scalar_failing_sets(spec, faults):
+    """Reference: one fault at a time through the scalar word evaluator."""
+    core = spec.build_scannable()
+    batches = pack_patterns(core, testsets.test_set_for(spec).patterns)
+    goldens = [
+        core.cloud.evaluate_words(batch.input_words, batch.mask)
+        for batch in batches
+    ]
+    sets = []
+    for fault in faults:
+        failing = set()
+        base = 0
+        for batch, golden in zip(batches, goldens):
+            faulty = core.cloud.evaluate_words(
+                batch.input_words, batch.mask, fault=fault
+            )
+            for output, (good, bad) in enumerate(zip(golden, faulty)):
+                diff = (good ^ bad) & batch.mask
+                for bit in range(batch.count):
+                    if diff >> bit & 1:
+                        failing.add((base + bit, output))
+            base += batch.count
+        sets.append(failing)
+    return sets
+
+
+class TestScanFaultFailingSets:
+    @pytest.mark.parametrize(
+        "spec", _scan_specs(), ids=lambda spec: spec.name
+    )
+    def test_matches_scalar_per_fault_diff(self, spec):
+        faults = [
+            (fault.node, fault.stuck_value)
+            for fault in core_fault_list(spec.build_scannable())
+        ]
+        assert faults
+        batched = scan_fault_failing_sets(spec, faults)
+        assert batched == _scalar_failing_sets(spec, faults)
+        assert any(batched)
 
 
 class TestBatchProgramCache:
