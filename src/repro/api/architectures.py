@@ -247,6 +247,12 @@ class DesignedTam:
         blocker = self._simulation_blocker(config)
         if config.simulate is True and blocker:
             raise ConfigurationError(f"cannot simulate: {blocker}")
+        if blocker and config.simulate is None and config.backend != "auto":
+            # An explicit engine choice is never dropped for the model.
+            raise ConfigurationError(
+                f"backend {config.backend!r} needs cycle-accurate "
+                f"simulation, but {blocker}"
+            )
         if config.simulate is False and config.inject_faults:
             raise ConfigurationError(
                 "fault injection needs cycle-accurate simulation "

@@ -53,7 +53,9 @@ class RunConfig:
             workload and scheduler support it.
         backend: simulation engine -- ``"auto"`` (compiled kernel when
             possible, the default), ``"kernel"`` or ``"legacy"``; see
-            :class:`~repro.sim.session.SessionExecutor`.
+            :class:`~repro.sim.session.SessionExecutor`.  A pinned
+            engine raises where the run cannot simulate, instead of
+            falling back to the model.
         capture_syndromes: record bit-level failing positions
             (:class:`~repro.diagnose.syndrome.Syndrome`) on simulated
             core results; off by default and free when off (cycle

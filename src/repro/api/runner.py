@@ -75,13 +75,13 @@ def _group_key(experiment: Experiment) -> Optional[str]:
     the identity-excluded ``label``) are the same compiled simulation
     with different scenario overlays, so they can share one batch
     dispatch.  Returns ``None`` for experiments the batch kernel must
-    not take: a pinned scalar backend, a forbidden or unsupported
+    not take: a pinned backend, a forbidden or unsupported
     simulation, or a non-CAS-BUS architecture.
     """
     from repro.campaign.hashing import canonical_json, experiment_identity
 
     config = experiment.config
-    if config.simulate is False or config.backend not in ("auto", "batch"):
+    if config.simulate is False or config.backend != "auto":
         return None
     if get_architecture(config.architecture).key != "casbus":
         return None

@@ -28,7 +28,7 @@ fall out of ``xor`` / ``and`` / popcount array ops:
   output arrays at all;
 * syndrome masks place a mismatching output bit of pattern ``p`` at
   scan-out offset ``out_offset[o]`` of chain ``out_chain[o]`` in window
-  ``p`` -- the same packing both scalar backends emit byte-identically.
+  ``p`` -- the same packing the legacy backend emits byte-identically.
 
 Entry points, innermost to outermost:
 
@@ -36,9 +36,9 @@ Entry points, innermost to outermost:
   :meth:`repro.scan.core_model.CombCloud.evaluate_words`;
 * :func:`scan_fault_failing_sets` -- per-fault failing ``(pattern,
   output)`` sets, the fault-dictionary builder's inner loop;
-* :class:`BatchKernelExecutor` -- a :class:`~repro.sim.kernel.
-  KernelExecutor` whose scan tests run on the array evaluator
-  (``SessionExecutor(backend="batch")``);
+* :func:`_scan_fault_results` -- per-fault mismatch counts and
+  syndrome masks, the faulty-scan branch of
+  :meth:`repro.sim.kernel.KernelExecutor.run_driver`;
 * :class:`BatchExecutor` -- runs one plan against N independent
   scenario instances, deduplicating work across scenarios that share a
   per-core fault, with per-scenario scalar fallback for transport
@@ -52,14 +52,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.bist.lfsr import Lfsr
-from repro.bist.misr import Misr
-from repro.diagnose.syndrome import (
-    KIND_BIST,
-    KIND_EXTERNAL,
-    KIND_SCAN,
-    Syndrome,
-)
 from repro.errors import ConfigurationError, SimulationError
 from repro.scan.core_model import CombCloud
 from repro.scan.fault_sim import WORD_WIDTH, pack_patterns
@@ -72,11 +64,9 @@ from repro.soc.soc import SocSpec
 from repro.sim.cache import BoundedCache
 from repro.sim.kernel import (
     KernelExecutor,
-    _popcount,
     _scan_program,
     _ScanProgram,
-    chain_capture,
-    chain_geometries,
+    external_chain_state,
     kernel_supports,
 )
 from repro.sim.plan import TestPlan
@@ -331,7 +321,7 @@ def _scan_fault_results(
     """Per-fault ``(mismatches, syndrome_masks)`` over the pattern set.
 
     The masks dict is empty unless ``capture`` -- its keys/packing are
-    byte-identical to :meth:`KernelExecutor._scan_mismatches`.
+    byte-identical to the legacy backend's per-cycle syndrome capture.
     """
     results: "list[tuple[int, dict[tuple[int, int], int]]]" = []
     if program.words == 0:
@@ -401,48 +391,6 @@ def scan_fault_failing_sets(
     return sets
 
 
-# -- the batch-backed kernel executor -----------------------------------------
-
-
-class BatchKernelExecutor(KernelExecutor):
-    """A :class:`~repro.sim.kernel.KernelExecutor` whose scan captures
-    run on the array evaluator (``SessionExecutor(backend="batch")``).
-
-    Single-instance semantics, results and post-session system state
-    are byte-identical to the scalar kernel; only the inner per-pattern
-    Python loop is replaced by one array dispatch.
-    """
-
-    def _run_scan(self, driver) -> CoreResult:
-        node = driver.node
-        program = driver.scan
-        assert program is not None
-        wrapper = node.wrapper
-        assert wrapper is not None and wrapper.core is not None
-        core = wrapper.core
-        masks: "dict[tuple[int, int], int]" = {}
-        if core.fault is None or program.num_patterns == 0:
-            mismatches = 0
-        else:
-            batch = batch_scan_program(node.spec, wrapper)
-            ((mismatches, masks),) = _scan_fault_results(
-                batch, [core.fault], capture=self.capture_syndromes
-            )
-        core.ff_values = [0] * core.num_ffs
-        for cell in wrapper.boundary.cells:
-            cell.shift_value = 0
-        return CoreResult(
-            name=driver.assignment.name,
-            method="scan",
-            passed=mismatches == 0,
-            bits_compared=program.bits_compared,
-            mismatches=mismatches,
-            detail=program.detail,
-            syndrome=(Syndrome.from_masks(KIND_SCAN, masks)
-                      if self.capture_syndromes else None),
-        )
-
-
 # -- the N-scenario batch executor --------------------------------------------
 
 
@@ -505,8 +453,9 @@ class BatchExecutor:
     All stuck-at scenarios execute against one configured template
     system: configuration never depends on test outcomes, scan captures
     depend only on the loaded pattern, and BIST/external replays are
-    deterministic from reset -- so per-driver work is computed once per
-    *distinct* per-core fault and shared across the batch.  Scenarios
+    deterministic from reset -- so each driver runs once, through
+    :meth:`~repro.sim.kernel.KernelExecutor.run_driver`, over the
+    *distinct* per-core faults and is shared across the batch.  Scenarios
     the kernel premise excludes (transport defects) fall back to a
     per-scenario scalar run transparently.
     """
@@ -599,7 +548,9 @@ class BatchExecutor:
                 compiled = kernel.compile_session(session)
                 config_cycles = kernel._apply_configuration(session)
                 per_driver = [
-                    self._driver_results(driver, overlays, external_state)
+                    self._driver_results(
+                        kernel, driver, overlays, external_state
+                    )
                     for driver in compiled.drivers
                 ]
             obs_histogram("batch.scenarios_per_dispatch").observe(
@@ -617,8 +568,9 @@ class BatchExecutor:
         for index, program in zip(indices, programs):
             results[index] = program
 
+    @staticmethod
     def _driver_results(
-        self,
+        kernel: KernelExecutor,
         driver,
         overlays: "list[dict[str, tuple[int, int]]]",
         external_state: "dict[tuple[str, object], list[int]]",
@@ -626,149 +578,22 @@ class BatchExecutor:
         """One driver's results for every scenario, deduplicated."""
         path = driver.node.path
         faults = [overlay.get(path) for overlay in overlays]
-        distinct: "list[tuple[int, int] | None]" = []
-        position: "dict[tuple[int, int] | None, int]" = {}
-        for fault in faults:
-            if fault not in position:
-                position[fault] = len(distinct)
-                distinct.append(fault)
-        if driver.kind == "scan":
-            by_fault = self._scan_results(driver, distinct)
-        elif driver.kind == "bist":
-            by_fault = self._bist_results(driver, distinct)
-        else:
-            by_fault = self._external_results(
-                driver, distinct, external_state
-            )
-        return [replace(by_fault[position[fault]]) for fault in faults]
-
-    def _scan_results(self, driver, distinct) -> "list[CoreResult]":
-        node = driver.node
-        program = driver.scan
-        assert program is not None
-        wrapper = node.wrapper
-        assert wrapper is not None and wrapper.core is not None
-        core = wrapper.core
-        capture = self.capture_syndromes
-        injected = [fault for fault in distinct if fault is not None]
-        computed: "dict[tuple[int, int], tuple[int, dict]]" = {}
-        if injected and program.num_patterns > 0:
-            batch = batch_scan_program(node.spec, wrapper)
-            for fault, outcome in zip(
-                injected,
-                _scan_fault_results(batch, injected, capture=capture),
-            ):
-                computed[fault] = outcome
-        # Identical template post-state to the scalar kernel's flush.
-        core.ff_values = [0] * core.num_ffs
-        for cell in wrapper.boundary.cells:
-            cell.shift_value = 0
-        results = []
-        for fault in distinct:
-            mismatches, masks = computed.get(fault, (0, {}))
-            results.append(CoreResult(
-                name=driver.assignment.name,
-                method="scan",
-                passed=mismatches == 0,
-                bits_compared=program.bits_compared,
-                mismatches=mismatches,
-                detail=program.detail,
-                syndrome=(Syndrome.from_masks(KIND_SCAN, masks)
-                          if capture else None),
-            ))
-        return results
-
-    def _bist_results(self, driver, distinct) -> "list[CoreResult]":
-        node = driver.node
-        spec = node.spec
-        engine = node.engine
-        golden = engine._signature(spec.bist_cycles, fault=None)
-        mask = (1 << spec.signature_width) - 1
-        results = []
-        for fault in distinct:
-            actual = (
-                golden if fault is None
-                else engine._signature(spec.bist_cycles, fault=fault)
-            )
-            xor_mask = (actual ^ golden) & mask
-            mismatches = _popcount(xor_mask)
-            results.append(CoreResult(
-                name=driver.assignment.name,
-                method="bist",
-                passed=mismatches == 0,
-                bits_compared=spec.signature_width,
-                mismatches=mismatches,
-                detail=(
-                    f"{spec.bist_cycles} BIST cycles, "
-                    f"{spec.signature_width}-bit signature"
-                ),
-                syndrome=(
-                    Syndrome.signature_xor(KIND_BIST, xor_mask, 0)
-                    if self.capture_syndromes else None
-                ),
-            ))
-        return results
-
-    def _external_results(
-        self, driver, distinct, external_state
-    ) -> "list[CoreResult]":
-        node = driver.node
-        spec = node.spec
-        wrapper = node.wrapper
-        assert wrapper is not None and wrapper.core is not None
-        core = wrapper.core
-        geo = chain_geometries(wrapper)[0]
-        depth = geo.length
-        input_cells = wrapper.boundary.input_cells
-        output_cells = wrapper.boundary.output_cells
-        results = []
-        for fault in distinct:
-            key = (node.path, fault)
-            live = external_state.get(key)
-            if live is None:
-                # First session of this instance: the template holds
-                # exactly the fresh-build state a scenario starts from.
-                live = (
-                    [input_cells[pi].shift_value for pi in geo.in_pi]
-                    + [core.ff_values[ff] for ff in geo.ff_ids]
-                    + [output_cells[po].shift_value for po in geo.out_po]
-                )
-            shadow = [0] * depth
-            source = Lfsr(16, seed=0xACE1 ^ (spec.seed or 1))
-            live_misr = Misr(16)
-            golden_misr = Misr(16)
-            bits_compared = 0
-            for window in range(spec.external_stream_patterns + 1):
-                for _ in range(depth):
-                    live_misr.absorb_bit(live[-1])
-                    golden_misr.absorb_bit(shadow[-1])
-                    bit = source.step()
-                    live.insert(0, bit)
-                    live.pop()
-                    shadow.insert(0, bit)
-                    shadow.pop()
-                    bits_compared += 1
-                if window < spec.external_stream_patterns:
-                    chain_capture(core, geo, live, fault)
-                    chain_capture(core, geo, shadow, None)
-            external_state[key] = live
-            passed = live_misr.signature == golden_misr.signature
-            results.append(CoreResult(
-                name=driver.assignment.name,
-                method="external",
-                passed=passed,
-                bits_compared=bits_compared,
-                mismatches=0 if passed else 1,
-                detail=(
-                    f"sink signature {live_misr.signature:#06x} vs "
-                    f"golden {golden_misr.signature:#06x}"
-                ),
-                syndrome=(Syndrome.signature_xor(
-                    KIND_EXTERNAL, live_misr.signature,
-                    golden_misr.signature,
-                ) if self.capture_syndromes else None),
-            ))
-        return results
+        distinct = list(dict.fromkeys(faults))
+        states = None
+        if driver.kind == "external":
+            for fault in distinct:
+                if (path, fault) not in external_state:
+                    # First session of this instance: the template
+                    # holds exactly the fresh-build state a scenario
+                    # starts from.
+                    external_state[(path, fault)] = external_chain_state(
+                        driver.node
+                    )
+            states = [external_state[(path, fault)] for fault in distinct]
+        by_fault = dict(zip(
+            distinct, kernel.run_driver(driver, distinct, states)
+        ))
+        return [replace(by_fault[fault]) for fault in faults]
 
     # -- per-scenario fallback -------------------------------------------
 

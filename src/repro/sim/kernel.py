@@ -18,13 +18,15 @@ This module exploits that in two phases:
   don't-cares cost nothing), configuration targets and exact stage
   cycle costs.  Programs are pure functions of the frozen
   :class:`~repro.soc.core.CoreSpec`, so they are cached process-wide.
-* **execute** -- run each compiled program with integer shift/mask
-  arithmetic plus one combinational-cloud evaluation per capture
-  (needed only when the instance carries an injected fault), and apply
-  configuration by loading the same register states the serial
-  protocol would have shifted in, with the update pulses driven
-  through the real node objects so side effects (BIST restarts, CHAIN
-  splices) stay bit-exact.
+* **execute** -- run each compiled driver for a list of injected
+  faults (one for a single instance, the distinct per-core faults of a
+  :class:`~repro.sim.batch.BatchExecutor` batch).  Fault-free scan
+  captures cost nothing; faulty ones are vectorised on the array
+  evaluator of :mod:`repro.sim.batch`.  Configuration is applied by
+  loading the same register states the serial protocol would have
+  shifted in, with the update pulses driven through the real node
+  objects so side effects (BIST restarts, CHAIN splices) stay
+  bit-exact.
 
 The kernel reproduces the legacy backend's
 :class:`~repro.sim.session.ProgramResult` exactly -- cycle counts,
@@ -132,18 +134,6 @@ def chain_geometries(wrapper: P1500Wrapper) -> tuple[_ChainGeometry, ...]:
         )
         for c, (in_pi, out_po) in enumerate(layout)
     )
-
-
-def _pack_reversed(contents: Sequence[int]) -> int:
-    """Chain contents -> the packed bit stream they scan out.
-
-    Bit ``o`` of the result is what emerges on the ``o``-th shift: the
-    content nearest scan-out first.
-    """
-    word = 0
-    for offset, bit in enumerate(reversed(contents)):
-        word |= bit << offset
-    return word
 
 
 @dataclass(frozen=True)
@@ -449,118 +439,117 @@ class KernelExecutor:
     # -- execute ---------------------------------------------------------
 
     def _execute_driver(self, driver: _CompiledDriver) -> CoreResult:
-        if driver.kind == "scan":
-            return self._run_scan(driver)
+        """One driver on this executor's own live instance."""
+        node = driver.node
         if driver.kind == "bist":
-            return self._run_bist(driver)
-        return self._run_external(driver)
+            assert isinstance(node, BistNode)
+            (result,) = self.run_driver(driver, [node.engine.fault])
+            return result
+        assert node.wrapper is not None and node.wrapper.core is not None
+        fault = node.wrapper.core.fault
+        if driver.kind == "scan":
+            (result,) = self.run_driver(driver, [fault])
+            return result
+        state = external_chain_state(node)
+        (result,) = self.run_driver(driver, [fault], [state])
+        _load_external_chain(node, state)
+        return result
 
-    def _run_bist(self, driver: _CompiledDriver) -> CoreResult:
+    def run_driver(
+        self,
+        driver: _CompiledDriver,
+        faults: "Sequence[tuple[int, int] | None]",
+        states: "Sequence[list[int]] | None" = None,
+    ) -> "list[CoreResult]":
+        """One :class:`CoreResult` per entry of ``faults``.
+
+        ``None`` is the fault-free instance.  The live system's
+        configuration is shared; only the injected stuck-at differs,
+        so a single instance is the case of one fault and
+        :class:`~repro.sim.batch.BatchExecutor` passes its distinct
+        per-core faults.  External drivers also take ``states``: each
+        fault's starting chain contents (scan-in side first), advanced
+        in place to the state the test leaves behind.
+        """
+        if driver.kind == "scan":
+            return self._run_scan(driver, faults)
+        if driver.kind == "bist":
+            return self._run_bist(driver, faults)
+        assert states is not None
+        return self._run_external(driver, faults, states)
+
+    def _run_bist(self, driver, faults) -> "list[CoreResult]":
         node = driver.node
         assert isinstance(node, BistNode)
         spec = node.spec
-        report = node.engine.run(spec.bist_cycles)
+        engine = node.engine
+        # Golden first, then each faulty run: the engine's LFSR/MISR end
+        # in the state a BistEngine.run would leave them in.
+        golden = engine._signature(spec.bist_cycles, fault=None)
         mask = (1 << spec.signature_width) - 1
-        xor_mask = (report.signature ^ report.golden_signature) & mask
-        mismatches = _popcount(xor_mask)
-        return CoreResult(
-            name=driver.assignment.name,
-            method="bist",
-            passed=mismatches == 0,
-            bits_compared=spec.signature_width,
-            mismatches=mismatches,
-            detail=(
-                f"{spec.bist_cycles} BIST cycles, "
-                f"{spec.signature_width}-bit signature"
-            ),
-            syndrome=(Syndrome.signature_xor(KIND_BIST, xor_mask, 0)
-                      if self.capture_syndromes else None),
-        )
+        results = []
+        for fault in faults:
+            actual = (golden if fault is None
+                      else engine._signature(spec.bist_cycles, fault=fault))
+            xor_mask = (actual ^ golden) & mask
+            mismatches = _popcount(xor_mask)
+            results.append(CoreResult(
+                name=driver.assignment.name,
+                method="bist",
+                passed=mismatches == 0,
+                bits_compared=spec.signature_width,
+                mismatches=mismatches,
+                detail=(
+                    f"{spec.bist_cycles} BIST cycles, "
+                    f"{spec.signature_width}-bit signature"
+                ),
+                syndrome=(Syndrome.signature_xor(KIND_BIST, xor_mask, 0)
+                          if self.capture_syndromes else None),
+            ))
+        return results
 
-    def _run_scan(self, driver: _CompiledDriver) -> CoreResult:
+    def _run_scan(self, driver, faults) -> "list[CoreResult]":
         node = driver.node
         program = driver.scan
         assert program is not None
         wrapper = node.wrapper
         assert wrapper is not None and wrapper.core is not None
         core = wrapper.core
-        masks: "dict[tuple[int, int], int]" = {}
-        if core.fault is None or program.num_patterns == 0:
-            # A clean instance's captures are, bit for bit, the ATPG
-            # responses the expected streams were compiled from.
-            mismatches = 0
-        else:
-            mismatches = self._scan_mismatches(
-                core, program,
-                masks=masks if self.capture_syndromes else None,
-            )
+        injected = [fault for fault in faults if fault is not None]
+        outcomes: "dict[tuple[int, int], tuple[int, dict]]" = {}
+        # A clean instance's captures are, bit for bit, the ATPG
+        # responses the expected streams were compiled from, so only
+        # faulty entries are evaluated -- on the array evaluator,
+        # imported here so fault-free runs never load numpy.
+        if injected and program.num_patterns > 0:
+            from repro.sim.batch import _scan_fault_results, batch_scan_program
+
+            batch = batch_scan_program(node.spec, wrapper)
+            outcomes = dict(zip(injected, _scan_fault_results(
+                batch, injected, capture=self.capture_syndromes
+            )))
         # Every window shifts full depth, so the final flush leaves all
         # chains (boundary cells included) holding zeros -- write the
         # state the legacy backend would have shifted into place.
         core.ff_values = [0] * core.num_ffs
         for cell in wrapper.boundary.cells:
             cell.shift_value = 0
-        return CoreResult(
-            name=driver.assignment.name,
-            method="scan",
-            passed=mismatches == 0,
-            bits_compared=program.bits_compared,
-            mismatches=mismatches,
-            detail=program.detail,
-            syndrome=(Syndrome.from_masks(KIND_SCAN, masks)
-                      if self.capture_syndromes else None),
-        )
+        results = []
+        for fault in faults:
+            mismatches, masks = outcomes.get(fault, (0, {}))
+            results.append(CoreResult(
+                name=driver.assignment.name,
+                method="scan",
+                passed=mismatches == 0,
+                bits_compared=program.bits_compared,
+                mismatches=mismatches,
+                detail=program.detail,
+                syndrome=(Syndrome.from_masks(KIND_SCAN, masks)
+                          if self.capture_syndromes else None),
+            ))
+        return results
 
-    @staticmethod
-    def _scan_mismatches(
-        core,
-        program: _ScanProgram,
-        masks: "dict[tuple[int, int], int] | None" = None,
-    ) -> int:
-        """Bit-exact mismatch count for a fault-carrying instance.
-
-        With ``masks``, the per-``(window, chain)`` mismatch words --
-        exactly the quantity :func:`_compare_window` popcounts -- are
-        also recorded, in the same packing the legacy backend's
-        syndrome capture produces bit for bit.
-        """
-        cloud = core.cloud
-        fault = core.fault
-        num_pis = core.num_pis
-        num_ffs = core.num_ffs
-        mismatches = 0
-        emitted: list[int] = []
-        patterns = program.test_set.patterns
-        for index, pattern in enumerate(patterns):
-            if index > 0:
-                mismatches += _compare_window(
-                    emitted, program.want_care[index - 1],
-                    window=index - 1, masks=masks,
-                )
-            # Capture: PIs and present state come straight from the
-            # freshly loaded pattern; one cloud evaluation applies the
-            # instance's injected fault.
-            inputs = list(pattern.pi) + [0] * num_ffs
-            for chain, geo in zip(pattern.chains, program.geometries):
-                for position, ff in enumerate(geo.ff_ids):
-                    inputs[num_pis + ff] = chain[position]
-            outputs = cloud.evaluate_words(inputs, mask=1, fault=fault)
-            emitted = [
-                _pack_reversed(
-                    [pattern.pi[pi] for pi in geo.in_pi]
-                    + [outputs[ff] & 1 for ff in geo.ff_ids]
-                    + [outputs[num_ffs + po] & 1 for po in geo.out_po]
-                )
-                for geo in program.geometries
-            ]
-        # The last response scans out during the flush window.
-        mismatches += _compare_window(
-            emitted, program.want_care[-1],
-            window=program.num_patterns - 1, masks=masks,
-        )
-        return mismatches
-
-    def _run_external(self, driver: _CompiledDriver) -> CoreResult:
+    def _run_external(self, driver, faults, states) -> "list[CoreResult]":
         """Off-chip LFSR source vs MISR sink with a golden shadow.
 
         The live chain starts from whatever state the instance is in
@@ -577,53 +566,73 @@ class KernelExecutor:
         core = wrapper.core
         geo = chain_geometries(wrapper)[0]
         depth = geo.length
-        num_in = len(geo.in_pi)
-        num_core = len(geo.ff_ids)
-        input_cells = wrapper.boundary.input_cells
-        output_cells = wrapper.boundary.output_cells
-        live = (
-            [input_cells[pi].shift_value for pi in geo.in_pi]
-            + [core.ff_values[ff] for ff in geo.ff_ids]
-            + [output_cells[po].shift_value for po in geo.out_po]
-        )
-        shadow = [0] * depth
-        source = Lfsr(16, seed=0xACE1 ^ (spec.seed or 1))
-        live_misr = Misr(16)
-        golden_misr = Misr(16)
-        bits_compared = 0
-        for window in range(spec.external_stream_patterns + 1):
-            for _ in range(depth):
-                live_misr.absorb_bit(live[-1])
-                golden_misr.absorb_bit(shadow[-1])
-                bit = source.step()
-                live.insert(0, bit)
-                live.pop()
-                shadow.insert(0, bit)
-                shadow.pop()
-                bits_compared += 1
-            if window < spec.external_stream_patterns:
-                chain_capture(core, geo, live, core.fault)
-                chain_capture(core, geo, shadow, None)
-        for position, pi in enumerate(geo.in_pi):
-            input_cells[pi].shift_value = live[position]
-        for position, ff in enumerate(geo.ff_ids):
-            core.ff_values[ff] = live[num_in + position]
-        for position, po in enumerate(geo.out_po):
-            output_cells[po].shift_value = live[num_in + num_core + position]
-        passed = live_misr.signature == golden_misr.signature
-        return CoreResult(
-            name=driver.assignment.name,
-            method="external",
-            passed=passed,
-            bits_compared=bits_compared,
-            mismatches=0 if passed else 1,
-            detail=(
-                f"sink signature {live_misr.signature:#06x} vs "
-                f"golden {golden_misr.signature:#06x}"
-            ),
-            syndrome=(Syndrome.signature_xor(
-                KIND_EXTERNAL, live_misr.signature, golden_misr.signature,
-            ) if self.capture_syndromes else None),
+        results = []
+        for fault, live in zip(faults, states):
+            shadow = [0] * depth
+            source = Lfsr(16, seed=0xACE1 ^ (spec.seed or 1))
+            live_misr = Misr(16)
+            golden_misr = Misr(16)
+            bits_compared = 0
+            for window in range(spec.external_stream_patterns + 1):
+                for _ in range(depth):
+                    live_misr.absorb_bit(live[-1])
+                    golden_misr.absorb_bit(shadow[-1])
+                    bit = source.step()
+                    live.insert(0, bit)
+                    live.pop()
+                    shadow.insert(0, bit)
+                    shadow.pop()
+                    bits_compared += 1
+                if window < spec.external_stream_patterns:
+                    chain_capture(core, geo, live, fault)
+                    chain_capture(core, geo, shadow, None)
+            passed = live_misr.signature == golden_misr.signature
+            results.append(CoreResult(
+                name=driver.assignment.name,
+                method="external",
+                passed=passed,
+                bits_compared=bits_compared,
+                mismatches=0 if passed else 1,
+                detail=(
+                    f"sink signature {live_misr.signature:#06x} vs "
+                    f"golden {golden_misr.signature:#06x}"
+                ),
+                syndrome=(Syndrome.signature_xor(
+                    KIND_EXTERNAL, live_misr.signature,
+                    golden_misr.signature,
+                ) if self.capture_syndromes else None),
+            ))
+        return results
+
+
+def external_chain_state(node: CasNode) -> list[int]:
+    """An externally tested core's live chain contents, scan-in first."""
+    wrapper = node.wrapper
+    assert wrapper is not None and wrapper.core is not None
+    geo = chain_geometries(wrapper)[0]
+    input_cells = wrapper.boundary.input_cells
+    output_cells = wrapper.boundary.output_cells
+    return (
+        [input_cells[pi].shift_value for pi in geo.in_pi]
+        + [wrapper.core.ff_values[ff] for ff in geo.ff_ids]
+        + [output_cells[po].shift_value for po in geo.out_po]
+    )
+
+
+def _load_external_chain(node: CasNode, state: list[int]) -> None:
+    """Inverse of :func:`external_chain_state`."""
+    wrapper = node.wrapper
+    assert wrapper is not None and wrapper.core is not None
+    geo = chain_geometries(wrapper)[0]
+    num_in = len(geo.in_pi)
+    num_core = len(geo.ff_ids)
+    for position, pi in enumerate(geo.in_pi):
+        wrapper.boundary.input_cells[pi].shift_value = state[position]
+    for position, ff in enumerate(geo.ff_ids):
+        wrapper.core.ff_values[ff] = state[num_in + position]
+    for position, po in enumerate(geo.out_po):
+        wrapper.boundary.output_cells[po].shift_value = (
+            state[num_in + num_core + position]
         )
 
 
@@ -649,23 +658,6 @@ def chain_capture(core, geo: _ChainGeometry, state: list[int],
     base = num_in + len(geo.ff_ids)
     for position, po in enumerate(geo.out_po):
         state[base + position] = outputs[core.num_ffs + po] & 1
-
-
-def _compare_window(
-    emitted: list[int],
-    want_care,
-    *,
-    window: int = 0,
-    masks: "dict[tuple[int, int], int] | None" = None,
-) -> int:
-    total = 0
-    for chain, (got, (want, care)) in enumerate(zip(emitted, want_care)):
-        diff = (got ^ want) & care
-        if diff:
-            total += _popcount(diff)
-            if masks is not None:
-                masks[(window, chain)] = masks.get((window, chain), 0) | diff
-    return total
 
 
 def clear_program_cache() -> None:

@@ -24,11 +24,10 @@ Two interchangeable backends execute plans:
 
 * ``"kernel"`` -- the compiled engine of :mod:`repro.sim.kernel`:
   sessions are lowered once into bit-packed integer programs and run
-  as whole shift bursts.  Much faster, bit-exact.
-* ``"batch"`` -- the compiled kernel with scan captures executed on
-  the vectorized array evaluator of :mod:`repro.sim.batch`.  Bit-exact,
-  and the backend :meth:`SessionExecutor.run_batch` amortises over
-  whole scenario batches.
+  as whole shift bursts; faulty scan captures are vectorised on the
+  array evaluator of :mod:`repro.sim.batch`, the same code
+  :meth:`SessionExecutor.run_batch` amortises over whole scenario
+  batches.  Much faster, bit-exact.
 * ``"legacy"`` -- the original object-stepping path below: every cycle
   routes the bus through every node object.  Required for per-cycle
   :class:`~repro.sim.trace.TraceRecorder` capture and for gate-level
@@ -67,7 +66,7 @@ from repro.wrapper.wir import Wir
 from repro.wrapper.wrapper import P1500Wrapper
 
 #: Accepted ``SessionExecutor(backend=...)`` values.
-BACKENDS = ("auto", "kernel", "batch", "legacy")
+BACKENDS = ("auto", "kernel", "legacy")
 
 
 @dataclass
@@ -185,7 +184,8 @@ class SessionExecutor:
         planner's :class:`~repro.errors.ConfigurationError` surface is
         unchanged; what this adds is the static verifier's deeper
         checks (system wiring bijections, configuration target codes,
-        compiled program packing).
+        compiled program packing, and the array program behind every
+        faulty scan capture the compiled kernel will run).
         """
         from repro.verify import verify_session_programs, verify_system
 
@@ -199,6 +199,24 @@ class SessionExecutor:
             self._system_verified = True
         report = verify_session_programs(self.system, session)
         report.raise_if_failed(self.system.soc.name)
+        if self.backend == "legacy":
+            return
+        for assignment in session.assignments:
+            node = self.system.node_at(assignment.path)
+            if (isinstance(node, ScanNode)
+                    and node.spec.method == TestMethod.SCAN
+                    and node.wrapper is not None
+                    and node.wrapper.core is not None
+                    and node.wrapper.core.fault is not None):
+                # Function-local: repro.sim.batch imports this module,
+                # and fault-free runs never load numpy.
+                from repro.sim.batch import batch_scan_program
+                from repro.verify import verify_batch_program
+
+                verify_batch_program(
+                    batch_scan_program(node.spec, node.wrapper), node.spec,
+                    location=f"batch/{assignment.name}",
+                ).raise_if_failed(self.system.soc.name)
 
     # -- backend dispatch ------------------------------------------------
 
@@ -207,7 +225,7 @@ class SessionExecutor:
 
         if self.backend == "legacy":
             return False
-        if self.backend in ("kernel", "batch"):
+        if self.backend == "kernel":
             if self.trace is not None:
                 raise ConfigurationError(
                     "the kernel backend runs whole shift bursts and "
@@ -225,14 +243,8 @@ class SessionExecutor:
     def _kernel_executor(self):
         from repro.sim.kernel import KernelExecutor
 
-        executor_class = KernelExecutor
-        if self.backend == "batch":
-            # Function-local: repro.sim.batch imports this module.
-            from repro.sim.batch import BatchKernelExecutor
-
-            executor_class = BatchKernelExecutor
         if self._kernel is None:
-            self._kernel = executor_class(
+            self._kernel = KernelExecutor(
                 self.system, test_sets=self._test_sets,
                 capture_syndromes=self.capture_syndromes,
             )

@@ -1,5 +1,5 @@
-"""Golden equivalence: the vectorized batch kernel vs both scalar
-backends.
+"""Golden equivalence: the vectorized batch kernel vs fresh
+single-instance runs.
 
 The batch executor (:mod:`repro.sim.batch`) lowers one compiled
 program geometry plus N scenario variants into packed word arrays and
@@ -7,21 +7,18 @@ executes the whole batch per dispatch.  Its contract is
 *fresh-instance semantics*: element ``i`` of a batch run must be
 byte-identical to a fresh :class:`~repro.sim.session.SessionExecutor`
 over ``scenarios[i]`` -- cycle counts, pass/fail, mismatch counters,
-detail strings and captured syndromes alike -- on the scalar kernel
-and the legacy object-stepping executor.  These tests pin that on the
-fig-1 SoC (scan, BIST, external and hierarchical victims), through
-the public entry points (``backend="batch"``, ``run_batch``,
-``run_many``), and as a hypothesis property over generated SoCs and
-mixed-kind defect scenarios (transport defects exercise the
-per-scenario fallback path).
+detail strings and captured syndromes alike.  The compiled kernel
+shares its per-driver code with the batch path, so the independent
+oracle is the legacy object-stepping executor.  These tests pin that
+on the fig-1 SoC (scan, BIST, external and hierarchical victims),
+through the public entry points (``run_batch``, ``run_many``), and as
+a hypothesis property over generated SoCs and mixed-kind defect
+scenarios (transport defects exercise the per-scenario fallback path).
 """
 
 from __future__ import annotations
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -118,7 +115,7 @@ class TestFig1BatchEquivalence:
         plan = _plan(soc)
         batch = BatchExecutor(soc).run_batch(plan, scenarios)
         scalar = _scalar_reference(soc, plan, scenarios,
-                                   backend="kernel")
+                                   backend="legacy")
         for result_b, result_s in zip(batch, scalar):
             for core_b, core_s in zip(
                 result_b.core_results(), result_s.core_results()
@@ -158,18 +155,17 @@ class TestEntryPoints:
             backend: SessionExecutor(
                 build_system(soc, inject_faults=fault), backend=backend
             ).run_plan(plan)
-            for backend in ("legacy", "kernel", "batch", "auto")
+            for backend in ("legacy", "kernel", "auto")
         }
-        assert (results["batch"] == results["kernel"]
-                == results["legacy"] == results["auto"])
+        assert results["kernel"] == results["legacy"] == results["auto"]
 
     def test_session_executor_run_batch(self):
         soc, scenarios = _fig1_scenarios()
         plan = _plan(soc)
-        executor = SessionExecutor(build_system(soc), backend="batch")
+        executor = SessionExecutor(build_system(soc), backend="auto")
         batch = executor.run_batch(plan, scenarios)
         assert batch == _scalar_reference(soc, plan, scenarios,
-                                          backend="kernel")
+                                          backend="legacy")
 
     def test_run_batch_legacy_backend_loops(self):
         """A pinned scalar backend never takes the batch path, but the
@@ -215,14 +211,6 @@ class TestEntryPoints:
         batched = run_many(experiments, parallel=False)
         reference = [item.run() for item in experiments]
         assert batched == reference
-
-    def test_experiment_backend_batch(self):
-        from repro.api import Experiment
-
-        experiment = Experiment(fig1_soc()).with_backend("batch")
-        assert experiment.run() == (
-            Experiment(fig1_soc()).with_backend("kernel").run()
-        )
 
 
 _SOC_SEEDS = st.integers(min_value=0, max_value=7)

@@ -79,6 +79,17 @@ class TestExperimentSimulation:
         # so the generated CAS hardware must shrink.
         assert pinned.area_ge < default.area_ge
 
+    def test_pinned_backend_is_never_dropped_for_the_model(self):
+        # `repro run itc02-d695-soc -w 16 --backend kernel`: the width
+        # override blocks simulation, so the pinned engine must raise
+        # instead of quietly returning a model result.
+        experiment = Experiment("itc02-d695-soc").with_bus_width(16)
+        assert experiment.run().source == "model"
+        for backend in ("kernel", "legacy"):
+            with pytest.raises(ConfigurationError,
+                               match=f"backend '{backend}'.*bus width"):
+                experiment.with_backend(backend).run()
+
     def test_simulation_forbidden_falls_back_to_model(self):
         result = (Experiment(small_soc())
                   .with_architecture("casbus")

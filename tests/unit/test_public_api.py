@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -90,3 +94,27 @@ class TestVerifyFailurePaths:
         assert check_combinational_equivalence(
             nl, reference, ["a", "b"], ["y"]
         ) == 4
+
+
+class TestImportCost:
+    def test_fault_free_run_loads_no_array_code(self):
+        """numpy and the batch module load only for faulty scan
+        captures: importing the API and a clean simulated run must not
+        pay their import time."""
+        script = (
+            "import sys\n"
+            "import repro.api\n"
+            "from repro.api import Experiment, get_workload\n"
+            "result = Experiment(get_workload('fig1')).run()\n"
+            "assert result.source == 'simulation', result.source\n"
+            "print(sorted({'numpy', 'repro.sim.batch'} & set(sys.modules)))\n"
+        )
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

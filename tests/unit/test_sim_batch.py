@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.api import get_workload
 from repro.scan.core_model import CombCloud

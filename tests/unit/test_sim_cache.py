@@ -76,7 +76,6 @@ class TestWiredCaches:
         assert isinstance(engine._DICTIONARIES, BoundedCache)
 
     def test_batch_program_cache_is_bounded(self):
-        pytest.importorskip("numpy")
         from repro.sim import batch
 
         assert isinstance(batch._BATCH_PROGRAMS, BoundedCache)

@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import types
 
+import numpy as np
 import pytest
 
 from repro.api import Experiment
@@ -35,6 +36,7 @@ from repro.schedule.model import (
 from repro.schedule.preemptive import Segment, schedule_preemptive
 from repro.schedule.reconfig import static_partition
 from repro.schedule.scheduler import schedule_greedy
+from repro.sim.batch import batch_scan_program
 from repro.sim.kernel import _scan_program
 from repro.sim.config import configuration_targets
 from repro.sim.system import build_system
@@ -355,22 +357,19 @@ def _mut_prg003():
 
 
 def _batch_program():
-    np = pytest.importorskip("numpy")
-    from repro.sim.batch import batch_scan_program
-
     system = build_system(small_soc())
     node = _scan_node(system)
-    return np, batch_scan_program(node.spec, node.wrapper), node.spec
+    return batch_scan_program(node.spec, node.wrapper), node.spec
 
 
 def test_batch_programs_are_clean():
-    _, program, spec = _batch_program()
+    program, spec = _batch_program()
     report = verify_batch_program(program, spec)
     assert report.diagnostics == [], report.table()
 
 
 def _mut_prg006():
-    np, program, spec = _batch_program()
+    program, spec = _batch_program()
     golden = program.golden.copy()
     golden[0, 0] ^= np.uint64(1)  # flip pattern 0 of output 0
     broken = dataclasses.replace(program, golden=golden)
@@ -381,13 +380,13 @@ def _mut_prg006():
 
 
 def _mut_prg007():
-    _, program, spec = _batch_program()
+    program, spec = _batch_program()
     broken = dataclasses.replace(program, words=program.words + 1)
     return verify_batch_program(broken, spec), f"batch[{spec.name}]"
 
 
 def _mut_prg007_mask():
-    np, program, spec = _batch_program()
+    program, spec = _batch_program()
     masks = program.masks.copy()
     masks[0] = np.uint64(1)
     broken = dataclasses.replace(program, masks=masks)
