@@ -3,7 +3,7 @@
 
 Ruff catches generic Python mistakes; this lint encodes the invariants
 that make *this* repo's campaigns resumable and its artifacts
-auditable.  Eight checks, each with a stable id:
+auditable.  Nine checks, each with a stable id:
 
 * ``RL001`` -- no unseeded ``random.Random()`` outside ``tests/``:
   every stochastic component (workload generators, the annealing
@@ -46,6 +46,12 @@ auditable.  Eight checks, each with a stable id:
   ``src/repro``: every dependency the package imports is a hard
   dependency, so a fallback for a missing one is dead code that
   drifts from the path it shadows.
+* ``RL009`` -- no unreferenced definitions inside ``src/repro``: a
+  top-level function or class, or a non-dunder method, whose name
+  appears as a word nowhere else in ``src``, ``tests``, ``scripts``,
+  ``examples``, ``benchmarks``, ``perfbench`` or ``README.md`` is
+  dead code.  A deliberate entry point carries ``RL009`` on its
+  ``def``/``class`` line.
 
 Usage:
     python scripts/lint_repro.py            # lint src/ + scripts/
@@ -54,7 +60,10 @@ Usage:
 
 import argparse
 import ast
+import functools
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 DEFAULT_ROOTS = ("src", "scripts", "examples", "benchmarks")
@@ -93,6 +102,15 @@ TIMER_CALLS = {
 
 #: Exceptions that only a missing module raises (RL008).
 IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
+
+#: Where a ``src/repro`` definition may be referenced (RL009), relative
+#: to the repository root: ``*.py`` under each directory, plus files.
+REFERENCE_DIRS = ("src", "tests", "scripts", "examples", "benchmarks", "perfbench")
+REFERENCE_FILES = ("README.md",)
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def is_test_path(path: Path) -> bool:
@@ -336,6 +354,88 @@ def check_import_fallbacks(path: Path, tree: ast.AST) -> "list[str]":
     return problems
 
 
+def _definitions(tree: ast.AST) -> "list[ast.AST]":
+    """Top-level functions and classes, and the methods of top-level
+    classes (dunders excluded): the names RL009 checks."""
+    found = []
+    for node in getattr(tree, "body", []):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif isinstance(node, ast.ClassDef):
+            found.append(node)
+            found.extend(
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [
+        node
+        for node in found
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def reference_words() -> "tuple[Counter, dict[Path, Counter]]":
+    """Word counts of every file RL009 searches: the total, and per
+    resolved path."""
+    paths = [REPO_ROOT / name for name in REFERENCE_FILES]
+    for name in REFERENCE_DIRS:
+        paths.extend(sorted((REPO_ROOT / name).rglob("*.py")))
+    by_file = {
+        path.resolve(): Counter(WORD.findall(path.read_text()))
+        for path in paths
+        if path.is_file()
+    }
+    total: Counter = Counter()
+    for counts in by_file.values():
+        total.update(counts)
+    return total, by_file
+
+
+def words_outside(path: Path, names) -> "dict[str, int]":
+    """How often each of ``names`` occurs in the RL009 reference files
+    other than ``path``."""
+    total, by_file = reference_words()
+    own = by_file.get(path.resolve(), Counter())
+    return {name: total[name] - own[name] for name in names}
+
+
+def check_unreferenced(
+    path: Path,
+    tree: ast.AST,
+    source_lines: "list[str]",
+    outside: "dict[str, int] | None" = None,
+) -> "list[str]":
+    """RL009: definitions whose name occurs nowhere but on their own
+    ``def``/``class`` line.
+
+    ``outside`` counts each name in the other reference files; by
+    default it is read from the repository (:func:`words_outside`).
+    """
+    definitions = _definitions(tree)
+    if outside is None:
+        outside = words_outside(path, {node.name for node in definitions})
+    local = Counter(WORD.findall("\n".join(source_lines)))
+    problems = []
+    for node in definitions:
+        line = source_lines[node.lineno - 1]
+        if "RL009" in line:
+            continue
+        elsewhere = (
+            outside.get(node.name, 0)
+            + local[node.name]
+            - WORD.findall(line).count(node.name)
+        )
+        if elsewhere == 0:
+            problems.append(
+                f"{path}:{node.lineno}: RL009 {node.name} is referenced "
+                f"nowhere (delete it, or waive a deliberate entry point "
+                f"with RL009 on the line)"
+            )
+    return problems
+
+
 def _in_schedule_package(path: Path) -> bool:
     normalized = str(path).replace("\\", "/")
     return "repro/schedule/" in normalized
@@ -370,6 +470,7 @@ def lint_file(path: Path) -> "list[str]":
         problems += check_print_and_timers(path, tree,
                                            source.splitlines())
         problems += check_import_fallbacks(path, tree)
+        problems += check_unreferenced(path, tree, source.splitlines())
     return problems
 
 

@@ -315,25 +315,34 @@ class DesignedTam:
                     f"executable)")
         return None
 
-    def _simulate(self, config: RunConfig) -> RunResult:
+    def _facade(self, config: RunConfig):
+        """The run's CAS-BUS facade and its CAS area in gate equivalents.
+
+        A pinned policy sizes the generated CAS hardware; the default
+        ``None`` keeps the facade's historical ``"all"`` enumeration.
+        The area is read here, so a generation error is raised before
+        any simulation starts.
+        """
         from repro.core.tam import CasBusTamDesign
 
         soc = self.workload.soc
         assert soc is not None
-        # A pinned policy sizes the generated CAS hardware; the default
-        # None keeps the facade's historical "all" enumeration.
         facade = CasBusTamDesign.for_soc(
             soc,
             policy="all" if config.cas_policy is None
             else config.cas_policy,
         )
+        return facade, facade.total_cas_ge
+
+    def _simulate(self, config: RunConfig) -> RunResult:
+        facade, area_ge = self._facade(config)
         program = facade.run(
             inject_faults=config.inject_faults,
             backend=config.backend,
             capture_syndromes=config.capture_syndromes,
             verify=config.verify,
         )
-        return self._simulated_result(config, program, facade.total_cas_ge)
+        return self._simulated_result(config, program, area_ge)
 
     def _simulated_result(self, config: RunConfig, program,
                           area_ge: float) -> RunResult:

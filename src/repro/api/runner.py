@@ -134,7 +134,6 @@ def _run_batch_group(
     evenly, or ``None`` when the batch path is unavailable and the
     items should run individually.
     """
-    from repro.core.tam import CasBusTamDesign
     from repro.sim.session import SessionExecutor
     from repro.sim.system import build_system
 
@@ -144,11 +143,7 @@ def _run_batch_group(
     assert soc is not None
     watch = stopwatch()
     try:
-        facade = CasBusTamDesign.for_soc(
-            soc,
-            policy="all" if config.cas_policy is None
-            else config.cas_policy,
-        )
+        facade, area_ge = leader.build()._facade(config)
         plan = facade.executable_plan()
         executor = SessionExecutor(
             build_system(soc),
@@ -162,7 +157,6 @@ def _run_batch_group(
     except ConfigurationError:
         return None
     elapsed = watch.elapsed / len(items)
-    area_ge = facade.total_cas_ge
     return [
         (item.build()._simulated_result(item.config, program, area_ge),
          elapsed)

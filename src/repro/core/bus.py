@@ -169,14 +169,6 @@ class CasChain:
             values = routing.s
         return ChainRouting(bus_out=values, core_outputs=tuple(outputs))
 
-    def drive_test_cycle(
-        self,
-        bus_in: Sequence[int],
-        core_returns: Sequence[Sequence[int]],
-    ) -> ChainRouting:
-        """Route one TEST-mode cycle (no configuration)."""
-        return self.route(bus_in, core_returns, config=False)
-
     def idle_bus(self) -> tuple[int, ...]:
         """The all-zero bus vector (what the controller drives at rest)."""
         return (lv.ZERO,) * self.n

@@ -2,7 +2,10 @@
 
 :class:`CasBusTamDesign` ties the whole flow together for a given SoC:
 CAS generation per core (area/VHDL), schedule computation, behavioural
-system construction and plan execution.
+system construction and plan execution.  CAS hardware is generated
+lazily, on the first read of :attr:`~CasBusTamDesign.cas_designs` or
+an area total, and once per distinct ``(N, P, policy)`` key; planning
+and execution never need it.
 
 This class predates the :mod:`repro.api` experiment layer and remains
 fully supported; new code should prefer
@@ -13,53 +16,70 @@ offers (the registry exposes it as ``get_architecture("casbus")``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from repro.errors import ScheduleError
 from repro.core.generator import CasDesign, generate_cas
 from repro.soc.core import CoreSpec, TestMethod
 from repro.soc.soc import SocSpec
-from repro.schedule.scheduler import Schedule, ScheduledSession
-from repro.sim.plan import CoreAssignment, SessionPlan, TestPlan
+from repro.schedule.assign import session_plan
+from repro.schedule.scheduler import Schedule
+from repro.sim.plan import TestPlan
 
 
 @dataclass
 class CasBusTamDesign:
-    """A complete CAS-BUS TAM for one SoC."""
+    """A complete CAS-BUS TAM for one SoC.
+
+    ``policy`` is the scheme-enumeration policy of every CAS; ``None``
+    applies :func:`repro.core.instruction.practical_policy` per CAS.
+    """
 
     soc: SocSpec
-    cas_designs: dict[str, CasDesign] = field(default_factory=dict)
+    policy: str | None = "all"
 
     @classmethod
     def for_soc(cls, soc: SocSpec, *,
                 policy: str | None = "all") -> "CasBusTamDesign":
-        """Generate the per-core CAS hardware for an SoC.
+        """The CAS-BUS TAM of a validated SoC.
 
-        ``policy`` is the scheme-enumeration policy of every generated
-        CAS; the default ``"all"`` is the historical behaviour, and
-        ``None`` applies the designer rule of
-        :func:`repro.core.instruction.practical_policy` per CAS.
+        Generates no hardware: :attr:`cas_designs` synthesises it on
+        first access.  The default ``"all"`` policy is the historical
+        behaviour.
+        """
+        soc.validate()
+        return cls(soc=soc, policy=policy)
+
+    @cached_property
+    def cas_designs(self) -> dict[str, CasDesign]:
+        """Core path -> generated CAS, inner cores included.
+
+        Each distinct ``(bus_width, p, policy)`` is generated once per
+        design, and cores sharing a key share one :class:`CasDesign`.
         """
         from repro.core.instruction import practical_policy
 
-        soc.validate()
         designs: dict[str, CasDesign] = {}
+        by_key: dict[tuple[int, int, str], CasDesign] = {}
 
         def visit(spec_soc: SocSpec, prefix: str) -> None:
             for core in spec_soc.cores:
                 path = f"{prefix}{core.name}"
-                cas_policy = (practical_policy(spec_soc.bus_width, core.p)
-                              if policy is None else policy)
-                designs[path] = generate_cas(
-                    spec_soc.bus_width, core.p, policy=cas_policy
-                )
+                n = spec_soc.bus_width
+                policy = (practical_policy(n, core.p)
+                          if self.policy is None else self.policy)
+                key = (n, core.p, policy)
+                if key not in by_key:
+                    by_key[key] = generate_cas(n, core.p, policy=policy)
+                designs[path] = by_key[key]
                 if core.method == TestMethod.HIERARCHICAL:
                     assert core.inner is not None
                     visit(core.inner, f"{path}/")
 
-        visit(soc, "")
-        return cls(soc=soc, cas_designs=designs)
+        visit(self.soc, "")
+        return designs
 
     # -- hardware cost -----------------------------------------------------
 
@@ -114,81 +134,47 @@ class CasBusTamDesign:
         expands into per-inner-core sessions (the inner bus usually
         cannot host all inner cores at once).
         """
-        sessions: list[SessionPlan] = []
-        flat_params = [
-            core.test_params()
-            for core in self.soc.cores
-            if core.method != TestMethod.HIERARCHICAL
+        flat = [core for core in self.soc.cores
+                if core.method != TestMethod.HIERARCHICAL]
+        sessions = [
+            session_plan(specs, self.soc.bus_width, "flat")
+            for specs in self._greedy_exact(self.soc, flat)
         ]
-        if flat_params:
-            schedule = self._greedy_exact(flat_params, self.soc.bus_width)
-            for scheduled in schedule.sessions:
-                sessions.append(
-                    self._flat_session(scheduled, label="flat")
-                )
         for core in self.soc.cores:
             if core.method != TestMethod.HIERARCHICAL:
                 continue
-            sessions.extend(self._hierarchical_sessions(core))
+            assert core.inner is not None
+            sessions.extend(
+                session_plan(specs, core.inner.bus_width,
+                             f"{core.name}-inner", parent=core)
+                for specs in self._greedy_exact(core.inner,
+                                                core.inner.cores)
+            )
         if not sessions:
             raise ScheduleError(f"{self.soc.name}: nothing to test")
         return TestPlan(sessions=tuple(sessions), label=self.soc.name)
 
     @staticmethod
-    def _greedy_exact(params, bus_width: int) -> Schedule:
-        """Executor-compatible packing: exact P wires per core.
+    def _greedy_exact(soc: SocSpec,
+                      cores: Sequence[CoreSpec]) -> list[list[CoreSpec]]:
+        """Executor-compatible packing of ``cores``: exact P wires each.
 
         Routed through the registered ``greedy`` strategy (the only
         executable one) so facade and experiment layer share one
-        scheduler implementation.
+        scheduler implementation.  Returns the cores of each session.
         """
         from repro.api.registry import get_scheduler
 
-        return get_scheduler("greedy").schedule(
-            params, bus_width, exact_wires=True
+        if not cores:
+            return []
+        schedule = get_scheduler("greedy").schedule(
+            [core.test_params() for core in cores], soc.bus_width,
+            exact_wires=True,
         ).detail
-
-    def _flat_session(self, scheduled: ScheduledSession,
-                      label: str) -> SessionPlan:
-        assignments = []
-        cursor = 0
-        for entry in scheduled.entries:
-            spec = self.soc.core_named(entry.params.name)
-            wires = tuple(range(cursor, cursor + spec.p))
-            cursor += spec.p
-            assignments.append(
-                CoreAssignment(path=(spec.name,), levels=(wires,))
-            )
-        return SessionPlan(assignments=tuple(assignments), label=label)
-
-    def _hierarchical_sessions(
-        self, core: CoreSpec
-    ) -> list[SessionPlan]:
-        assert core.inner is not None
-        outer_wires = tuple(range(core.p))
-        sessions = []
-        inner_params = [c.test_params() for c in core.inner.cores]
-        inner_schedule = self._greedy_exact(
-            inner_params, core.inner.bus_width
-        )
-        for scheduled in inner_schedule.sessions:
-            assignments = []
-            cursor = 0
-            for entry in scheduled.entries:
-                inner_spec = core.inner.core_named(entry.params.name)
-                inner_wires = tuple(range(cursor, cursor + inner_spec.p))
-                cursor += inner_spec.p
-                assignments.append(
-                    CoreAssignment(
-                        path=(core.name, inner_spec.name),
-                        levels=(outer_wires, inner_wires),
-                    )
-                )
-            sessions.append(
-                SessionPlan(assignments=tuple(assignments),
-                            label=f"{core.name}-inner")
-            )
-        return sessions
+        return [
+            [soc.core_named(entry.params.name) for entry in scheduled.entries]
+            for scheduled in schedule.sessions
+        ]
 
     # -- execution -----------------------------------------------------------------
 

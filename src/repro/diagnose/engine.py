@@ -575,10 +575,7 @@ class DiagnosisEngine:
         self.cas_policy = cas_policy
         self.max_candidates = max_candidates
         self.max_suspects = max_suspects
-        # Plan only -- never CasBusTamDesign.for_soc, whose per-core
-        # CAS *hardware* generation (logic minimisation, area) costs
-        # seconds on large SoCs and contributes nothing to diagnosis.
-        self.tam = CasBusTamDesign(soc=soc)
+        self.tam = CasBusTamDesign(soc=soc, policy=cas_policy)
         self.plan = self.tam.executable_plan()
         self._assignments = {
             assignment.name: assignment

@@ -18,8 +18,9 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.soc.core import TestMethod
 from repro.soc.soc import SocSpec
+from repro.schedule.assign import session_plan
 from repro.schedule.model import CostModel, TamProblem
-from repro.sim.plan import CoreAssignment, SessionPlan, TestPlan
+from repro.sim.plan import SessionPlan, TestPlan
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,10 @@ def minimal_retest_plan(
             params, soc.bus_width, exact_wires=True
         ).detail
         for scheduled in schedule.sessions:
-            assignments = []
-            cursor = 0
-            for entry in scheduled.entries:
-                spec = soc.core_named(entry.params.name)
-                wires = tuple(range(cursor, cursor + spec.p))
-                cursor += spec.p
-                assignments.append(
-                    CoreAssignment(path=(spec.name,), levels=(wires,))
-                )
-            sessions.append(SessionPlan(
-                assignments=tuple(assignments), label="retest"
+            sessions.append(session_plan(
+                [soc.core_named(entry.params.name)
+                 for entry in scheduled.entries],
+                soc.bus_width, "retest",
             ))
             test_cycles += scheduled.cycles
             config_cycles += model.session_config_cycles(
@@ -110,14 +104,8 @@ def minimal_retest_plan(
             )
         assert parent.inner is not None
         inner_spec = parent.inner.core_named(inner_name.split("/")[0])
-        outer_wires = tuple(range(parent.p))
-        inner_wires = tuple(range(inner_spec.p))
-        sessions.append(SessionPlan(
-            assignments=(CoreAssignment(
-                path=(parent_name, inner_spec.name),
-                levels=(outer_wires, inner_wires),
-            ),),
-            label="retest",
+        sessions.append(session_plan(
+            [inner_spec], parent.inner.bus_width, "retest", parent=parent
         ))
         inner_params = inner_spec.test_params()
         inner_model = CostModel(TamProblem.of(

@@ -56,12 +56,6 @@ class CoverSynthesizer:
         self.netlist.add_gate("BUF", (result,), output_net)
         return output_net
 
-    def or_of(self, nets: Sequence[str], output_net: str) -> str:
-        """Shared OR of arbitrary nets onto a named output."""
-        result = self._tree("OR", list(nets))
-        self.netlist.add_gate("BUF", (result,), output_net)
-        return output_net
-
     # -- internals -------------------------------------------------------
 
     def _product_term(self, cube: Cube) -> str:

@@ -92,10 +92,6 @@ class NetlistSimulator:
         except KeyError:
             raise SimulationError(f"no such net: {net!r}") from None
 
-    def read_vector(self, nets: list[str]) -> tuple[int, ...]:
-        """Read several nets at once, in the given order."""
-        return tuple(self.read(net) for net in nets)
-
     def state_of(self, instance_name: str) -> int:
         """Current stored value of a sequential cell."""
         try:

@@ -49,10 +49,6 @@ class PatternResponse:
     ff_values: tuple[int, ...]
     po_values: tuple[int, ...]
 
-    def chain_out(self, core: ScannableCore, chain_index: int) -> tuple[int, ...]:
-        """Captured values of one chain, position 0 first."""
-        return tuple(self.ff_values[ff] for ff in core.chains[chain_index])
-
 
 @dataclass
 class TestSet:

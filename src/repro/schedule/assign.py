@@ -8,10 +8,11 @@ reports and traces.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ScheduleError
-from repro.sim.plan import CoreAssignment, flat_assignment
+from repro.sim.plan import CoreAssignment, SessionPlan, flat_assignment
+from repro.soc.core import CoreSpec
 
 
 def assign_wires(
@@ -44,11 +45,29 @@ def assign_wires(
     return result
 
 
-def session_assignments(
-    wire_map: Mapping[str, tuple[int, ...]],
-) -> list[CoreAssignment]:
-    """Wrap an assign_wires result into executor-ready assignments
-    (top-level cores only)."""
-    return [
-        flat_assignment(name, wires) for name, wires in wire_map.items()
-    ]
+def session_plan(
+    specs: Sequence[CoreSpec],
+    bus_width: int,
+    label: str,
+    *,
+    parent: CoreSpec | None = None,
+) -> SessionPlan:
+    """An executor-ready session testing ``specs`` concurrently.
+
+    Each core gets exactly its ``p`` wires from :func:`assign_wires`.
+    With ``parent``, the specs are inner cores of that hierarchical
+    core: each path is ``(parent.name, spec.name)`` and the parent's
+    ports take the top-level wires ``0 .. parent.p - 1``.
+    """
+    wires = assign_wires([(spec.name, spec.p) for spec in specs], bus_width)
+    if parent is None:
+        assignments = tuple(
+            flat_assignment(name, inner) for name, inner in wires.items()
+        )
+    else:
+        outer = tuple(range(parent.p))
+        assignments = tuple(
+            CoreAssignment(path=(parent.name, name), levels=(outer, inner))
+            for name, inner in wires.items()
+        )
+    return SessionPlan(assignments=assignments, label=label)

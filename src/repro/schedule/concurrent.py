@@ -15,7 +15,8 @@ from typing import Sequence
 from repro.errors import ScheduleError
 from repro.soc.core import TestMethod
 from repro.soc.soc import SocSpec
-from repro.sim.plan import SessionPlan, flat_assignment
+from repro.schedule.assign import session_plan
+from repro.sim.plan import SessionPlan
 
 
 def maintenance_session(
@@ -45,13 +46,7 @@ def maintenance_session(
             f"targets need {needed} wires, bus has {soc.bus_width}; "
             f"split the maintenance test into phases"
         )
-    assignments = []
-    cursor = 0
-    for core in targets:
-        wires = tuple(range(cursor, cursor + core.p))
-        assignments.append(flat_assignment(core.name, wires))
-        cursor += core.p
-    plan = SessionPlan(assignments=tuple(assignments), label="maintenance")
+    plan = session_plan(targets, soc.bus_width, "maintenance")
     undisturbed = [
         (core.name,)
         for core in soc.cores

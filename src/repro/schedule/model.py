@@ -247,16 +247,6 @@ class CostModel:
             "entries": len(self._core_cycles),
         }
 
-    def session_cycles(
-        self, allocation: Iterable[tuple[CoreTestParams, int]]
-    ) -> int:
-        """Makespan of one concurrent group under a wire allocation."""
-        return max(
-            (self.core_cycles(params, wires)
-             for params, wires in allocation),
-            default=0,
-        )
-
     # -- config-cycle accounting -------------------------------------------
 
     @property

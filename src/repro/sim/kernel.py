@@ -658,8 +658,3 @@ def chain_capture(core, geo: _ChainGeometry, state: list[int],
     base = num_in + len(geo.ff_ids)
     for position, po in enumerate(geo.out_po):
         state[base + position] = outputs[core.num_ffs + po] & 1
-
-
-def clear_program_cache() -> None:
-    """Drop compiled scan programs (tests and memory-sensitive callers)."""
-    _SCAN_PROGRAMS.clear()

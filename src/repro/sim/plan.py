@@ -58,11 +58,6 @@ class CoreAssignment:
     def name(self) -> str:
         return "/".join(self.path)
 
-    @property
-    def terminal_wires(self) -> tuple[int, ...]:
-        """Wires of the terminal core's enclosing bus, by port."""
-        return self.levels[-1]
-
     def top_wire(self, port: int) -> int:
         """The top-level bus wire that carries terminal port ``port``.
 

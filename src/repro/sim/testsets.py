@@ -42,8 +42,3 @@ def test_set_for(spec: CoreSpec) -> TestSet:
     )
     _CACHE.put(spec, test_set)
     return test_set
-
-
-def clear_cache() -> None:
-    """Drop every cached test set (tests and memory-sensitive callers)."""
-    _CACHE.clear()

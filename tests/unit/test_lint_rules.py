@@ -24,6 +24,11 @@ call in ``obs/timing.py`` -- carry ``RL007`` waiver comments.
 RL008 keeps the optional-dependency world from growing back: numpy
 and every other import of ``src/repro`` is a hard dependency, so an
 ``except ImportError`` fallback there is dead code with no waiver.
+
+RL009 finds dead definitions: a ``src/repro`` function, class or
+method whose name occurs nowhere but on its own ``def`` line, in the
+package or in the tests, scripts, examples, benchmarks, perfbench or
+README that could call it.
 """
 
 from __future__ import annotations
@@ -300,3 +305,75 @@ class TestRl008:
         inside.write_text(source)
         problems = lint.lint_file(inside)
         assert len(problems) == 1 and "RL008" in problems[0]
+
+
+def _check_rl009(lint, source: str, outside=None):
+    return lint.check_unreferenced(
+        Path("src/repro/example.py"), ast.parse(source),
+        source.splitlines(), outside or {},
+    )
+
+
+class TestRl009:
+    def test_flags_unreferenced_function_class_and_method(self, lint):
+        problems = _check_rl009(lint, (
+            "def orphan():\n"
+            "    return 1\n"
+            "class Lonely:\n"
+            "    def unused_method(self):\n"
+            "        return 2\n"
+        ))
+        assert [p.split(": ")[1].split()[:2] for p in problems] == [
+            ["RL009", "orphan"],
+            ["RL009", "Lonely"],
+            ["RL009", "unused_method"],
+        ]
+        assert ":1:" in problems[0] and ":4:" in problems[2]
+
+    def test_reference_in_same_file_or_elsewhere_is_clean(self, lint):
+        source = (
+            "def helper():\n"
+            "    return 1\n"
+            "def exported():\n"
+            "    return helper()\n"
+        )
+        assert _check_rl009(lint, source, {"exported": 2}) == []
+        problems = _check_rl009(lint, source)
+        assert len(problems) == 1 and "exported" in problems[0]
+
+    def test_waiver_on_def_line(self, lint):
+        assert _check_rl009(lint, (
+            "def entry_point():  # RL009: called by name from the CLI\n"
+            "    return 1\n"
+        )) == []
+
+    def test_ignores_dunders_and_nested_functions(self, lint):
+        assert _check_rl009(lint, (
+            "class Box:\n"
+            "    def __repr__(self):\n"
+            "        def inner():\n"
+            "            return 'box'\n"
+            "        return 'Box'\n"
+        ), {"Box": 1}) == []
+
+    def test_reads_references_from_the_repository(self, lint):
+        """The default index spans the package and its tests, minus
+        the file being linted."""
+        path = _SCRIPT.parents[1] / "src" / "repro" / "schedule" / "assign.py"
+        assert lint.words_outside(path, {"assign_wires"})["assign_wires"] > 0
+        here = Path(__file__).resolve()
+        assert lint.words_outside(here, {"TestRl009"}) == {"TestRl009": 0}
+
+    def test_scoped_to_repro_package(self, lint, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "words_outside",
+                            lambda path, names: {})
+        source = "def orphan_tool():\n    return 1\n"
+        outside = tmp_path / "scripts" / "tool.py"
+        outside.parent.mkdir()
+        outside.write_text(source)
+        assert lint.lint_file(outside) == []
+        inside = tmp_path / "src" / "repro" / "mod.py"
+        inside.parent.mkdir(parents=True)
+        inside.write_text(source)
+        problems = lint.lint_file(inside)
+        assert len(problems) == 1 and "RL009" in problems[0]

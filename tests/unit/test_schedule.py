@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ScheduleError
 from repro.soc.core import CoreTestParams, TestMethod
 from repro.soc.itc02 import d695_like, random_test_params
-from repro.schedule.assign import assign_wires
+from repro.schedule.assign import assign_wires, session_plan
 from repro.schedule.balance import (
     balanced_lengths,
     partition_lpt,
@@ -151,6 +151,41 @@ class TestAssign:
     def test_zero_count_rejected(self):
         with pytest.raises(ScheduleError):
             assign_wires([("a", 0)], 4)
+
+    def test_session_plan_builders_pin_wires(self):
+        """Every executable session packs cores onto contiguous wires
+        through :func:`session_plan`; these literals are the wires the
+        per-caller loops it replaced produced."""
+        from repro.core.tam import CasBusTamDesign
+        from repro.diagnose.retest import minimal_retest_plan
+        from repro.schedule.concurrent import maintenance_session
+        from repro.soc.library import fig1_soc
+
+        def wires(sessions):
+            return [[(a.path, a.levels) for a in session.assignments]
+                    for session in sessions]
+
+        soc = fig1_soc()
+        retest = minimal_retest_plan(soc, ["core1", "core5/core5a"])
+        assert wires(retest.plan.sessions) == [
+            [(("core1",), ((0, 1, 2),))],
+            [(("core5", "core5a"), ((0, 1), (0,)))],
+        ]
+        maintenance, _ = maintenance_session(soc, ["core2", "core3"])
+        assert maintenance.label == "maintenance"
+        assert wires([maintenance]) == [
+            [(("core2",), ((0, 1),)), (("core3",), ((2,),))],
+        ]
+        plan = CasBusTamDesign(soc=soc).executable_plan()
+        inner = [s for s in plan.sessions if s.label == "core5-inner"]
+        assert wires(inner) == [
+            [(("core5", "core5b"), ((0, 1), (0, 1)))],
+            [(("core5", "core5a"), ((0, 1), (0,)))],
+        ]
+        parent = soc.core_named("core5")
+        with pytest.raises(ScheduleError, match="needs 3 wires"):
+            session_plan(parent.inner.cores, parent.inner.bus_width,
+                         "both", parent=parent)
 
 
 class TestScheduler:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.tam as tam_module
 from repro.core.tam import CasBusTamDesign
 from repro.core.vhdl import lint_vhdl
 from repro.soc.core import CoreSpec
@@ -45,6 +46,51 @@ class TestHardwareGeneration:
         for name, text in bundle.items():
             assert name.endswith(".vhd")
             assert lint_vhdl(text).ok
+
+
+def _counting_generate_cas(monkeypatch):
+    calls = []
+    real = tam_module.generate_cas
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tam_module, "generate_cas", counting)
+    return calls
+
+
+class TestLazyHardware:
+    def test_plan_generates_no_hardware(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_cas called for a plan")
+
+        monkeypatch.setattr(tam_module, "generate_cas", refuse)
+        tam = CasBusTamDesign.for_soc(fig1_soc())
+        assert len(tam.executable_plan().sessions) == 5
+
+    def test_one_generation_per_distinct_key(self, monkeypatch):
+        calls = _counting_generate_cas(monkeypatch)
+        tam = CasBusTamDesign.for_soc(fig1_soc())
+        designs = tam.cas_designs
+        assert len(designs) == 9 and len(calls) == 5
+        assert tam.cas_designs is designs
+        by_key = {}
+        for design in designs.values():
+            assert by_key.setdefault((design.n, design.p), design) is design
+        assert len(by_key) == 5
+        assert len(tam.vhdl_bundle()) == 5 and tam.total_config_bits == 29
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("policy", ["all", None])
+    @pytest.mark.parametrize("factory, totals", [
+        (fig1_soc, (1110.5, 634, 29)),
+        (small_soc, (177.75, 96, 6)),
+    ])
+    def test_pinned_totals(self, factory, totals, policy):
+        tam = CasBusTamDesign.for_soc(factory(), policy=policy)
+        assert (tam.total_cas_ge, tam.total_cas_cells,
+                tam.total_config_bits) == totals
 
 
 class TestPlanning:
