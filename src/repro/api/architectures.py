@@ -42,6 +42,8 @@ from repro.baselines.direct import DirectAccess
 from repro.baselines.distribution import StaticDistribution
 from repro.baselines.mux_bus import MultiplexedBus
 from repro.baselines.sysbus import SystemBusTam
+from repro.obs.metrics import counter as obs_counter
+from repro.obs.spans import span as obs_span
 from repro.soc.core import CoreTestParams
 from repro.soc.soc import SocSpec
 from repro.api.registry import get_scheduler, register_architecture
@@ -52,7 +54,7 @@ from repro.api.results import (
     RunResult,
     SessionDetail,
 )
-from repro.api.schedulers import ScheduleOutcome, SchedulerStrategy
+from repro.api.schedulers import ScheduleOutcome
 
 #: Anything an experiment accepts as a workload (a string is resolved
 #: through the :mod:`repro.api.workloads` registry).
@@ -158,16 +160,13 @@ class TamArchitecture(abc.ABC):
     key: str = "architecture"
     #: Whether the cycle-accurate executor can run this architecture.
     supports_simulation: bool = False
-    #: Whether the timing model consults a scheduler strategy.
+    #: Whether the timing model consults a scheduler strategy.  A
+    #: scheduling architecture reports the strategy's outcome through
+    #: :meth:`report`, which it must then implement.
     uses_scheduler: bool = False
 
     @abc.abstractmethod
-    def model(
-        self,
-        *,
-        scheduler: SchedulerStrategy | None = None,
-        cas_policy: str | None = None,
-    ) -> TamBaseline:
+    def model(self, *, cas_policy: str | None = None) -> TamBaseline:
         """The abstract timing model (a legacy baseline instance)."""
 
     def design(self, workload: WorkloadLike) -> "DesignedTam":
@@ -179,13 +178,25 @@ class TamArchitecture(abc.ABC):
         cores: Sequence[CoreTestParams],
         bus_width: int,
         *,
-        scheduler: SchedulerStrategy | None = None,
         cas_policy: str | None = None,
     ) -> TamReport:
         """Abstract-model cost report (legacy-compatible)."""
-        return self.model(
-            scheduler=scheduler, cas_policy=cas_policy
-        ).evaluate(cores, bus_width)
+        return self.model(cas_policy=cas_policy).evaluate(cores, bus_width)
+
+    def report(
+        self,
+        cores: Sequence[CoreTestParams],
+        bus_width: int,
+        outcome: ScheduleOutcome,
+        *,
+        cas_policy: str | None = None,
+    ) -> TamReport:
+        """Cost report of a scheduler's ``outcome`` (scheduling
+        architectures only)."""
+        raise ConfigurationError(
+            f"architecture {self.key!r} uses a scheduler but does not "
+            f"implement report()"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.key!r}>"
@@ -217,32 +228,18 @@ class DesignedTam:
     def evaluate(self, config: RunConfig | None = None) -> RunResult:
         """Abstract-timing-model result (never simulates)."""
         config = config or RunConfig(architecture=self.architecture.key)
-        width = self.workload.resolve_width(config.bus_width)
-        strategy: SchedulerStrategy | None = None
-        scheduler_name = ""
-        if self.architecture.uses_scheduler:
-            strategy = get_scheduler(config.scheduler)
-            scheduler_name = strategy.name
-        report = self.architecture.evaluate(
-            self.workload.cores, width,
-            scheduler=strategy, cas_policy=config.cas_policy,
-        )
-        return RunResult(
-            architecture=self.architecture.key,
-            scheduler=scheduler_name,
-            workload=self.workload.name,
-            bus_width=width,
-            test_cycles=report.test_cycles,
-            config_cycles=report.config_cycles,
-            extra_pins=report.extra_pins,
-            area_ge=report.area_proxy,
-            source=SOURCE_MODEL,
-            passed=None,
-            label=config.label,
-        )
+        return self._model_result(config, self.schedule(config))
 
     def run(self, config: RunConfig | None = None) -> RunResult:
-        """Cycle-accurate simulation when possible, model otherwise."""
+        """Cycle-accurate simulation when possible, model otherwise.
+
+        A run the architecture could simulate but that falls to the
+        model (``simulate=None`` with a non-executable scheduler or a
+        width override) is counted as ``fallback.model`` and traced in a
+        span of that name carrying the reason.  Abstract tables and the
+        baseline architectures are model-only by nature and emit
+        neither.
+        """
         config = config or RunConfig(architecture=self.architecture.key)
         blocker = self._simulation_blocker(config)
         if config.simulate is True and blocker:
@@ -265,13 +262,56 @@ class DesignedTam:
                 f"fault injection needs cycle-accurate simulation, "
                 f"but {blocker}"
             )
-        if config.verify:
-            self._verify_model_outcome(config)
-        return self.evaluate(config)
+        if (config.simulate is None and self.workload.soc is not None
+                and self.architecture.supports_simulation):
+            obs_counter("fallback.model").inc()
+            with obs_span("fallback.model", reason=blocker):
+                return self._model_run(config)
+        return self._model_run(config)
 
     # -- internals ---------------------------------------------------------
 
-    def _verify_model_outcome(self, config: RunConfig) -> None:
+    def _model_run(self, config: RunConfig) -> RunResult:
+        """Schedule once, verify that outcome, report that outcome."""
+        outcome = self.schedule(config)
+        if config.verify:
+            self._verify_model_outcome(config, outcome)
+        return self._model_result(config, outcome)
+
+    def _model_result(self, config: RunConfig,
+                      outcome: ScheduleOutcome | None) -> RunResult:
+        """The model-path :class:`RunResult` of ``outcome``.
+
+        A scheduling architecture reports ``outcome`` itself, so the
+        run's verified object is the reported one; fixed-model
+        architectures (``outcome is None``) evaluate their timing model.
+        """
+        cores = self.workload.cores
+        width = self.workload.resolve_width(config.bus_width)
+        if outcome is None:
+            report = self.architecture.evaluate(
+                cores, width, cas_policy=config.cas_policy
+            )
+        else:
+            report = self.architecture.report(
+                cores, width, outcome, cas_policy=config.cas_policy
+            )
+        return RunResult(
+            architecture=self.architecture.key,
+            scheduler="" if outcome is None else outcome.strategy,
+            workload=self.workload.name,
+            bus_width=width,
+            test_cycles=report.test_cycles,
+            config_cycles=report.config_cycles,
+            extra_pins=report.extra_pins,
+            area_ge=report.area_proxy,
+            source=SOURCE_MODEL,
+            passed=None,
+            label=config.label,
+        )
+
+    def _verify_model_outcome(self, config: RunConfig,
+                              outcome: ScheduleOutcome | None) -> None:
         """Statically check the scheduler's outcome before reporting it.
 
         Model-path counterpart of the executor's pre-dispatch
@@ -280,7 +320,6 @@ class DesignedTam:
         :class:`~repro.errors.VerificationError` instead of entering a
         result.  Fixed-model architectures have nothing to check.
         """
-        outcome = self.schedule(config)
         if outcome is None:
             return
         from repro.schedule.model import TamProblem
@@ -386,8 +425,14 @@ class CasBusArchitecture(TamArchitecture):
     supports_simulation = True
     uses_scheduler = True
 
-    def model(self, *, scheduler=None, cas_policy=None) -> TamBaseline:
-        return CasBusTam(policy=cas_policy, scheduler=scheduler)
+    def model(self, *, cas_policy=None) -> TamBaseline:
+        return CasBusTam(policy=cas_policy)
+
+    def report(self, cores, bus_width, outcome, *,
+               cas_policy=None) -> TamReport:
+        return CasBusTam(policy=cas_policy).report(
+            cores, bus_width, outcome.test_cycles, outcome.config_cycles
+        )
 
 
 class FixedModelArchitecture(TamArchitecture):
@@ -395,7 +440,7 @@ class FixedModelArchitecture(TamArchitecture):
 
     baseline_cls: type = TamBaseline
 
-    def model(self, *, scheduler=None, cas_policy=None) -> TamBaseline:
+    def model(self, *, cas_policy=None) -> TamBaseline:
         return self.baseline_cls()
 
 

@@ -12,12 +12,11 @@ policy string keeps the rule constant across a sweep (used by the
 bus-width trade-off experiment so area reflects width, not policy
 switches).
 
-The scheduling policy is pluggable too: any
-:class:`repro.api.schedulers.SchedulerStrategy` (or duck-typed
-equivalent) can replace the default greedy session packing, which is
-how the experiment layer evaluates the CAS-BUS under ``preemptive`` or
-``exhaustive`` scheduling.  Registered in :mod:`repro.api` as
-``"casbus"``.
+:meth:`CasBusTam.evaluate` schedules with the greedy session packing;
+:meth:`CasBusTam.report` costs a schedule made elsewhere, which is how
+the experiment layer reports the CAS-BUS under any registered
+scheduler strategy (``preemptive``, ``exhaustive``, ...) from the one
+outcome it verified.  Registered in :mod:`repro.api` as ``"casbus"``.
 """
 
 from __future__ import annotations
@@ -45,40 +44,40 @@ class CasBusTam(TamBaseline):
     name = "cas-bus"
     key = "casbus"
 
-    def __init__(self, policy: str | None = None,
-                 scheduler=None) -> None:
-        """``scheduler`` is any object with the
-        :class:`repro.api.schedulers.SchedulerStrategy` interface;
-        ``None`` keeps the historical greedy session packing."""
+    def __init__(self, policy: str | None = None) -> None:
         self.policy = policy
-        self.scheduler = scheduler
 
     def evaluate(
         self,
         cores: Sequence[CoreTestParams],
         bus_width: int,
     ) -> TamReport:
-        if self.scheduler is None:
-            schedule = schedule_greedy(cores, bus_width,
-                                       charge_config=True,
-                                       cas_policy=self.policy)
-            test = schedule.test_cycles
-            config = schedule.config_cycles_total
-        else:
-            outcome = self.scheduler.schedule(
-                cores, bus_width, charge_config=True,
-                cas_policy=self.policy,
-            )
-            test = outcome.test_cycles
-            config = outcome.config_cycles
+        schedule = schedule_greedy(cores, bus_width, charge_config=True,
+                                   cas_policy=self.policy)
+        return self.report(cores, bus_width, schedule.test_cycles,
+                           schedule.config_cycles_total)
+
+    def report(
+        self,
+        cores: Sequence[CoreTestParams],
+        bus_width: int,
+        test_cycles: int,
+        config_cycles: int,
+    ) -> TamReport:
+        """The cost report of a schedule already made.
+
+        Carries the schedule's test and configuration totals; area is
+        the wire-area proxy plus one generated CAS per core, and the
+        bus costs ``bus_width`` extra pins.
+        """
         area = self.wire_area_proxy(bus_width, len(cores))
         for core in cores:
             p = min(core.max_wires, bus_width)
             area += _cas_area_ge(bus_width, p, self.policy)
         return TamReport(
             name=self.name,
-            test_cycles=test,
-            config_cycles=config,
+            test_cycles=test_cycles,
+            config_cycles=config_cycles,
             extra_pins=bus_width,
             area_proxy=round(area, 1),
         )

@@ -82,8 +82,7 @@ class TestLegacyBaselines:
                     report.extra_pins, report.area_proxy) == expected
 
     def test_casbus_default_constructor_unchanged(self):
-        # CasBusTam() grew a scheduler parameter; the default must
-        # still be the historical greedy packing.
+        # CasBusTam().evaluate is still the historical greedy packing.
         report = CasBusTam().evaluate(d695_like(), 8)
         assert (report.test_cycles, report.config_cycles) == (162835, 624)
 
