@@ -1,6 +1,6 @@
 """Vectorized batch kernel vs per-scenario scalar dispatch.
 
-The batch executor (:mod:`repro.sim.batch`) exists for one reason:
+The batch path (``SessionExecutor.run_batch``) exists for one reason:
 Monte-Carlo defect sweeps and fault-dictionary builds run the *same*
 compiled program geometry thousands of times with only the scenario
 varying, and per-scenario Python dispatch re-pays the whole
@@ -24,7 +24,6 @@ from repro.analysis.tables import format_table
 from repro.bist.engine import random_detectable_fault
 from repro.core.tam import CasBusTamDesign
 from repro.diagnose.engine import fault_dictionary
-from repro.sim.batch import BatchExecutor
 from repro.sim.session import SessionExecutor
 from repro.sim.system import build_system
 from repro.soc.library import fig1_soc
@@ -69,14 +68,15 @@ def test_batch_sweep_speedup(benchmark):
     soc = fig1_soc()
     plan = CasBusTamDesign.for_soc(soc).executable_plan()
     scenarios = _sweep_scenarios(soc, 256)
+    executor = SessionExecutor(build_system(soc))
     # Warm every shared cache (ATPG, compiled programs, batch arrays)
     # so both paths are measured steady-state.
-    BatchExecutor(soc).run_batch(plan, scenarios[:2])
+    executor.run_batch(plan, scenarios[:2])
     _scalar_sweep(soc, plan, scenarios[:2])
 
     def run():
         start = time.perf_counter()
-        batch = BatchExecutor(soc).run_batch(plan, scenarios)
+        batch = executor.run_batch(plan, scenarios)
         batch_s = time.perf_counter() - start
         start = time.perf_counter()
         scalar = _scalar_sweep(soc, plan, scenarios)
@@ -108,14 +108,15 @@ def test_batch_of_one_overhead(benchmark):
     soc = fig1_soc()
     plan = CasBusTamDesign.for_soc(soc).executable_plan()
     scenarios = _sweep_scenarios(soc, 2)[1:]
-    BatchExecutor(soc).run_batch(plan, scenarios)  # warm
+    executor = SessionExecutor(build_system(soc))
+    executor.run_batch(plan, scenarios)  # warm
     _scalar_sweep(soc, plan, scenarios)
 
     def run(repeats=5):
         batch_s = scalar_s = 0.0
         for _ in range(repeats):
             start = time.perf_counter()
-            batch = BatchExecutor(soc).run_batch(plan, scenarios)
+            batch = executor.run_batch(plan, scenarios)
             batch_s += time.perf_counter() - start
             start = time.perf_counter()
             scalar = _scalar_sweep(soc, plan, scenarios)

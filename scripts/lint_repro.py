@@ -23,10 +23,10 @@ auditable.  Nine checks, each with a stable id:
   point that invalidates stale records.
 * ``RL005`` -- no per-scenario Python loops over the scalar executor
   (``for ... in scenarios: ....run_plan(...)``) outside ``tests/``:
-  the vectorized batch kernel (:mod:`repro.sim.batch`,
-  ``SessionExecutor.run_batch``) executes same-geometry scenario
-  sweeps in one dispatch.  Deliberate scalar loops (fallbacks,
-  benchmark baselines) carry ``RL005`` on the offending line.
+  ``SessionExecutor.run_batch`` executes same-geometry scenario
+  sweeps in one compiled-kernel dispatch per session.  Deliberate
+  scalar loops (its own per-scenario fallback, benchmark baselines)
+  carry ``RL005`` on the offending line.
 * ``RL006`` -- no direct ``random.Random(...)`` construction inside
   ``repro.schedule`` (seeded or not): search randomness must flow
   from :class:`repro.schedule.seeds.SeedStream`, whose coordinate
@@ -246,10 +246,9 @@ def check_scenario_loops(
                 continue
             problems.append(
                 f"{path}:{call.lineno}: RL005 per-scenario loop over "
-                f"the scalar executor (one batch dispatch via "
-                f"SessionExecutor.run_batch / repro.sim.batch runs the "
-                f"whole sweep; waive deliberate loops with RL005 on "
-                f"the line)"
+                f"the scalar executor (one SessionExecutor.run_batch "
+                f"call runs the whole sweep; waive deliberate loops "
+                f"with RL005 on the line)"
             )
     return problems
 

@@ -15,8 +15,9 @@ CAS-BUS test actually exercises:
 * ``dead-cell`` -- one wrapper boundary cell's shift flop stuck.
 
 Wire and wrapper defects force the legacy object-stepping backend
-(:func:`repro.sim.kernel.kernel_supports` reports them), which
-``backend="auto"`` handles transparently.
+(:func:`repro.sim.kernel.kernel_blocker` names them), which
+``backend="auto"`` handles transparently and a pinned
+``backend="kernel"`` refuses.
 
 Scenarios are frozen, hashable and round-trip through
 ``to_dict``/``from_dict``, so diagnosis campaigns persist them next to

@@ -37,17 +37,22 @@ Entry points, innermost to outermost:
 * :func:`scan_fault_failing_sets` -- per-fault failing ``(pattern,
   output)`` sets, the fault-dictionary builder's inner loop;
 * :func:`_scan_fault_results` -- per-fault mismatch counts and
-  syndrome masks, the faulty-scan branch of
-  :meth:`repro.sim.kernel.KernelExecutor.run_driver`;
-* :class:`BatchExecutor` -- runs one plan against N independent
-  scenario instances, deduplicating work across scenarios that share a
-  per-core fault, with per-scenario scalar fallback for transport
-  defects the kernel premise excludes.
+  syndrome masks, the faulty-scan branch of the compiled kernel's
+  scan driver (:mod:`repro.sim.kernel`);
+* :func:`scenario_overlay` -- one scenario as a ``core path ->
+  stuck-at`` overlay, or ``None`` for the transport defects the
+  kernel premise excludes.
+
+Running a plan over N scenarios is
+:meth:`repro.sim.session.SessionExecutor.run_batch`: the compiled
+kernel runs every stuck-at overlay on one shared instance, each
+driver once per distinct per-core fault; every other scenario runs on
+a fresh system of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,23 +60,11 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.scan.core_model import CombCloud
 from repro.scan.fault_sim import WORD_WIDTH, pack_patterns
-from repro.obs.metrics import counter as obs_counter
 from repro.obs.metrics import histogram as obs_histogram
-from repro.obs.spans import span as obs_span
 from repro.obs.timing import stopwatch
 from repro.soc.core import CoreSpec
-from repro.soc.soc import SocSpec
 from repro.sim.cache import BoundedCache
-from repro.sim.kernel import (
-    KernelExecutor,
-    _scan_program,
-    _ScanProgram,
-    external_chain_state,
-    kernel_supports,
-)
-from repro.sim.plan import TestPlan
-from repro.sim.session import CoreResult, ProgramResult, SessionResult
-from repro.sim.system import build_system
+from repro.sim.kernel import _scan_program, _ScanProgram
 from repro.wrapper.wrapper import P1500Wrapper
 
 _U64 = np.uint64
@@ -391,7 +384,7 @@ def scan_fault_failing_sets(
     return sets
 
 
-# -- the N-scenario batch executor --------------------------------------------
+# -- scenarios ----------------------------------------------------------------
 
 
 def scenario_overlay(scenario) -> "dict[str, tuple[int, int]] | None":
@@ -421,188 +414,3 @@ def scenario_overlay(scenario) -> "dict[str, tuple[int, int]] | None":
         f"cannot interpret scenario {scenario!r}; expected None, a "
         f"fault mapping, or a DefectScenario"
     )
-
-
-def scenario_system(soc: SocSpec, scenario):
-    """A fresh system instance with one scenario applied."""
-    from repro.diagnose.inject import DefectScenario, build_faulty_system
-
-    if scenario is None:
-        return build_system(soc)
-    if isinstance(scenario, DefectScenario):
-        return build_faulty_system(soc, scenario)
-    if isinstance(scenario, Mapping):
-        return build_system(soc, inject_faults=dict(scenario))
-    raise ConfigurationError(
-        f"cannot interpret scenario {scenario!r}; expected None, a "
-        f"fault mapping, or a DefectScenario"
-    )
-
-
-class BatchExecutor:
-    """Runs one test plan against N independent scenario instances.
-
-    The contract is *fresh-instance semantics*: element ``i`` of
-    :meth:`run_batch` is byte-identical to::
-
-        SessionExecutor(
-            scenario_system(soc, scenarios[i]),
-            capture_syndromes=..., verify=...,
-        ).run_plan(plan)
-
-    All stuck-at scenarios execute against one configured template
-    system: configuration never depends on test outcomes, scan captures
-    depend only on the loaded pattern, and BIST/external replays are
-    deterministic from reset -- so each driver runs once, through
-    :meth:`~repro.sim.kernel.KernelExecutor.run_driver`, over the
-    *distinct* per-core faults and is shared across the batch.  Scenarios
-    the kernel premise excludes (transport defects) fall back to a
-    per-scenario scalar run transparently.
-    """
-
-    def __init__(
-        self,
-        soc: SocSpec,
-        *,
-        capture_syndromes: bool = False,
-        verify: bool = True,
-    ) -> None:
-        self.soc = soc
-        self.capture_syndromes = capture_syndromes
-        self.verify = verify
-
-    def run_batch(self, plan: TestPlan, scenarios) -> "list[ProgramResult]":
-        scenarios = list(scenarios)
-        overlays = [scenario_overlay(scenario) for scenario in scenarios]
-        results: "list[ProgramResult | None]" = [None] * len(scenarios)
-        batched = [i for i, ov in enumerate(overlays) if ov is not None]
-        with obs_span(
-            "batch.run", scenarios=len(scenarios), batched=len(batched)
-        ):
-            if batched:
-                template = build_system(self.soc)
-                if kernel_supports(template):
-                    self._run_batched(
-                        plan, template,
-                        [overlays[i] for i in batched],
-                        batched, results,
-                    )
-                else:  # pragma: no cover - clean builds always qualify
-                    batched = []
-            obs_counter("batch.fallback_scenarios").inc(
-                len(scenarios) - len(batched)
-            )
-            for index, result in enumerate(results):
-                if result is None:
-                    results[index] = self._run_fallback(
-                        plan, scenarios[index]
-                    )
-        return results  # type: ignore[return-value]
-
-    # -- batched path ----------------------------------------------------
-
-    def _run_batched(
-        self,
-        plan: TestPlan,
-        template,
-        overlays: "list[dict[str, tuple[int, int]]]",
-        indices: "list[int]",
-        results: "list[ProgramResult | None]",
-    ) -> None:
-        kernel = KernelExecutor(
-            template, capture_syndromes=self.capture_syndromes
-        )
-        plan.validate(template.n)
-        if self.verify:
-            from repro.verify import (
-                verify_batch_program,
-                verify_session_programs,
-                verify_system,
-            )
-            from repro.sim.nodes import ScanNode
-
-            verify_system(template).raise_if_failed(template.soc.name)
-            for session in plan.sessions:
-                verify_session_programs(template, session).raise_if_failed(
-                    template.soc.name
-                )
-                for assignment in session.assignments:
-                    node = template.node_at(assignment.path)
-                    if (isinstance(node, ScanNode)
-                            and node.wrapper is not None):
-                        batch = batch_scan_program(node.spec, node.wrapper)
-                        verify_batch_program(
-                            batch, node.spec,
-                            location=f"batch/{assignment.name}",
-                        ).raise_if_failed(template.soc.name)
-        programs = [ProgramResult() for _ in overlays]
-        # Off-chip replay state per (core path, fault): external chains
-        # legitimately carry state across sessions of one instance.
-        external_state: "dict[tuple[str, object], list[int]]" = {}
-        for index, session in enumerate(plan.sessions):
-            label = session.label or f"session{index}"
-            session.validate(template.n)
-            with obs_span(
-                "batch.dispatch", label=label, scenarios=len(overlays)
-            ):
-                compiled = kernel.compile_session(session)
-                config_cycles = kernel._apply_configuration(session)
-                per_driver = [
-                    self._driver_results(
-                        kernel, driver, overlays, external_state
-                    )
-                    for driver in compiled.drivers
-                ]
-            obs_histogram("batch.scenarios_per_dispatch").observe(
-                len(overlays)
-            )
-            for scenario_i in range(len(overlays)):
-                programs[scenario_i].sessions.append(SessionResult(
-                    label=label,
-                    config_cycles=config_cycles,
-                    test_cycles=compiled.test_cycles,
-                    core_results=[
-                        row[scenario_i] for row in per_driver
-                    ],
-                ))
-        for index, program in zip(indices, programs):
-            results[index] = program
-
-    @staticmethod
-    def _driver_results(
-        kernel: KernelExecutor,
-        driver,
-        overlays: "list[dict[str, tuple[int, int]]]",
-        external_state: "dict[tuple[str, object], list[int]]",
-    ) -> "list[CoreResult]":
-        """One driver's results for every scenario, deduplicated."""
-        path = driver.node.path
-        faults = [overlay.get(path) for overlay in overlays]
-        distinct = list(dict.fromkeys(faults))
-        states = None
-        if driver.kind == "external":
-            for fault in distinct:
-                if (path, fault) not in external_state:
-                    # First session of this instance: the template
-                    # holds exactly the fresh-build state a scenario
-                    # starts from.
-                    external_state[(path, fault)] = external_chain_state(
-                        driver.node
-                    )
-            states = [external_state[(path, fault)] for fault in distinct]
-        by_fault = dict(zip(
-            distinct, kernel.run_driver(driver, distinct, states)
-        ))
-        return [replace(by_fault[fault]) for fault in faults]
-
-    # -- per-scenario fallback -------------------------------------------
-
-    def _run_fallback(self, plan: TestPlan, scenario) -> ProgramResult:
-        from repro.sim.session import SessionExecutor
-
-        executor = SessionExecutor(
-            scenario_system(self.soc, scenario),
-            capture_syndromes=self.capture_syndromes,
-            verify=self.verify,
-        )
-        return executor.run_plan(plan)

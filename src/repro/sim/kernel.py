@@ -18,10 +18,15 @@ This module exploits that in two phases:
   don't-cares cost nothing), configuration targets and exact stage
   cycle costs.  Programs are pure functions of the frozen
   :class:`~repro.soc.core.CoreSpec`, so they are cached process-wide.
-* **execute** -- run each compiled driver for a list of injected
-  faults (one for a single instance, the distinct per-core faults of a
-  :class:`~repro.sim.batch.BatchExecutor` batch).  Fault-free scan
-  captures cost nothing; faulty ones are vectorised on the array
+* **execute** -- one routine per session compiles it, applies the
+  configuration and runs each compiled driver over a list of per-core
+  fault overlays, once per *distinct* fault of each core.  A single
+  instance (:meth:`KernelExecutor.run_session`) is the list of one --
+  its own injected faults; a scenario batch
+  (:meth:`KernelExecutor.run_batch`, behind
+  :meth:`~repro.sim.session.SessionExecutor.run_batch`) passes every
+  stuck-at scenario at once on one fault-free instance.  Fault-free
+  scan captures cost nothing; faulty ones are vectorised on the array
   evaluator of :mod:`repro.sim.batch`.  Configuration is applied by
   loading the same register states the serial protocol would have
   shifted in, with the update pulses driven through the real node
@@ -37,15 +42,17 @@ mixed-backend usage agree.  Golden-equivalence tests in
 ``tests/integration/test_kernel_equivalence.py`` pin this.
 
 What it does not do: record per-cycle traces (use the legacy backend
-for VCD work) and drive gate-level CAS instances (their whole point is
-exercising the generated netlist cycle by cycle).
-:func:`kernel_supports` reports whether a system qualifies;
-:class:`~repro.sim.session.SessionExecutor` falls back automatically.
+for VCD work), drive gate-level CAS instances (their whole point is
+exercising the generated netlist cycle by cycle) or carry transport
+defects (open/bridged bus wires, dead boundary cells).
+:func:`kernel_blocker` names what keeps a system off the kernel;
+:class:`~repro.sim.session.SessionExecutor` falls back automatically
+under ``backend="auto"`` and raises under a pinned ``"kernel"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.diagnose.syndrome import (
@@ -61,6 +68,7 @@ from repro.bist.lfsr import Lfsr
 from repro.bist.misr import Misr
 from repro.scan.atpg import TestSet
 from repro.soc.core import CoreSpec, TestMethod
+from repro.obs.metrics import histogram as obs_histogram
 from repro.obs.spans import span as obs_span
 from repro.sim.cache import BoundedCache
 from repro.sim.config import configuration_targets, state_snapshot
@@ -73,28 +81,34 @@ from repro.wrapper.wir import Wir
 from repro.wrapper.wrapper import P1500Wrapper
 
 
-def kernel_supports(system: CasBusSystem) -> bool:
-    """Whether the compiled kernel can run this system.
+def kernel_blocker(system: CasBusSystem) -> "str | None":
+    """What keeps the compiled kernel off this system, or ``None``.
 
-    Gate-level CAS instances exist to exercise the generated netlist
-    through the real serial protocol, so they stay on the legacy
-    backend.  So do systems carrying physical transport defects --
-    broken/bridged bus wires or dead wrapper boundary cells (see
-    :mod:`repro.diagnose.inject`): the kernel's whole premise is that
-    test traffic crosses the TAM unmodified.
+    Physical transport defects -- broken/bridged bus wires or dead
+    wrapper boundary cells (see :mod:`repro.diagnose.inject`) -- break
+    the kernel's whole premise that test traffic crosses the TAM
+    unmodified.  Gate-level CAS instances exist to exercise the
+    generated netlist through the real serial protocol.  Both stay on
+    the legacy backend.
     """
-    if getattr(system, "wire_faults", None) or getattr(
-        system, "wire_bridges", None
-    ):
-        return False
+    if system.wire_faults:
+        return f"open bus wire {min(system.wire_faults)}"
+    if system.wire_bridges:
+        wire_a, wire_b = system.wire_bridges[0]
+        return f"bridged bus wires {wire_a} and {wire_b}"
     for node in system.walk():
         if not isinstance(node.cas, CoreAccessSwitch):
-            return False
-        if node.wrapper is not None and any(
-            cell.stuck is not None for cell in node.wrapper.boundary.cells
-        ):
-            return False
-    return True
+            return f"gate-level CAS {node.path}"
+        if node.wrapper is not None:
+            for index, cell in enumerate(node.wrapper.boundary.cells):
+                if cell.stuck is not None:
+                    return f"dead boundary cell {index} of {node.path}"
+    return None
+
+
+def kernel_supports(system: CasBusSystem) -> bool:
+    """Whether the compiled kernel can run this system."""
+    return kernel_blocker(system) is None
 
 
 def _popcount(word: int) -> int:
@@ -263,10 +277,11 @@ class KernelExecutor:
         test_sets: "dict[str, TestSet] | None" = None,
         capture_syndromes: bool = False,
     ) -> None:
-        if not kernel_supports(system):
+        blocker = kernel_blocker(system)
+        if blocker is not None:
             raise ConfigurationError(
-                f"{system.soc.name}: gate-level CAS instances need the "
-                f"legacy object-stepping backend"
+                f"{system.soc.name}: {blocker} needs the legacy "
+                f"object-stepping backend"
             )
         self.system = system
         self.capture_syndromes = capture_syndromes
@@ -292,31 +307,101 @@ class KernelExecutor:
     ) -> SessionResult:
         session.validate(self.system.n)
         with obs_span("executor.session", label=label, backend="kernel"):
-            with obs_span("executor.compile"):
-                compiled = self.compile_session(session)
             snapshots = {
                 "/".join(path): state_snapshot(self.system, path)
                 for path in undisturbed_paths
             }
-            with obs_span("executor.config"):
-                config_cycles = self._apply_configuration(session)
-            with obs_span(
-                "executor.capture", cycles=compiled.test_cycles
-            ):
-                core_results = [
-                    self._execute_driver(driver)
-                    for driver in compiled.drivers
-                ]
-        result = SessionResult(
-            label=label,
-            config_cycles=config_cycles,
-            test_cycles=compiled.test_cycles,
-            core_results=core_results,
-        )
+            chains: "dict[tuple[CasNode, object], list[int]]" = {}
+            (result,) = self._run_overlays(
+                session, label, [self._live_faults()], chains
+            )
+            # The live instance keeps what its external tests shifted.
+            for (node, _), state in chains.items():
+                _load_external_chain(node, state)
         for name, before in snapshots.items():
             after = state_snapshot(self.system, tuple(name.split("/")))
             result.undisturbed[name] = (before == after)
         return result
+
+    def run_batch(
+        self,
+        plan: TestPlan,
+        overlays: "Sequence[dict[str, tuple[int, int]]]",
+    ) -> "list[ProgramResult]":
+        """``plan`` once per ``core path -> stuck-at`` overlay.
+
+        This executor's instance must be fault-free and freshly built:
+        configuration never depends on test outcomes, scan captures
+        depend only on the loaded pattern, and BIST/external replays
+        are deterministic from reset, so every overlay shares one
+        configured instance and each session runs one dispatch.
+        Element ``i`` equals a fresh instance with ``overlays[i]``
+        injected running :meth:`run_plan`.
+        """
+        plan.validate(self.system.n)
+        programs = [ProgramResult() for _ in overlays]
+        # Off-chip replay state per (core, fault): external chains
+        # carry state across the sessions of one instance.
+        chains: "dict[tuple[CasNode, object], list[int]]" = {}
+        for index, session in enumerate(plan.sessions):
+            label = session.label or f"session{index}"
+            session.validate(self.system.n)
+            with obs_span(
+                "batch.dispatch", label=label, scenarios=len(overlays)
+            ):
+                results = self._run_overlays(
+                    session, label, overlays, chains
+                )
+            obs_histogram("batch.scenarios_per_dispatch").observe(
+                len(overlays)
+            )
+            for program, result in zip(programs, results):
+                program.sessions.append(result)
+        return programs
+
+    def _live_faults(self) -> "dict[str, tuple[int, int] | None]":
+        """The overlay of this instance's own injected faults."""
+        faults: "dict[str, tuple[int, int] | None]" = {}
+        for node in self.system.walk():
+            if isinstance(node, BistNode):
+                faults[node.path] = node.engine.fault
+            elif node.wrapper is not None and node.wrapper.core is not None:
+                faults[node.path] = node.wrapper.core.fault
+        return faults
+
+    def _run_overlays(
+        self,
+        session: SessionPlan,
+        label: str,
+        overlays: "Sequence[dict[str, tuple[int, int] | None]]",
+        chains: "dict[tuple[CasNode, object], list[int]]",
+    ) -> "list[SessionResult]":
+        """Compile, configure, then run every driver per overlay.
+
+        One :class:`SessionResult` per overlay.  ``chains`` maps
+        ``(node, fault)`` to an external chain's contents (scan-in
+        side first); a missing key starts from the live chain, and the
+        test advances each entry in place.
+        """
+        with obs_span("executor.compile"):
+            compiled = self.compile_session(session)
+        with obs_span("executor.config"):
+            config_cycles = self._apply_configuration(session)
+        test_cycles = compiled.test_cycles
+        with obs_span("executor.capture", cycles=test_cycles):
+            rows = [
+                self._driver_results(driver, overlays, chains)
+                for driver in compiled.drivers
+            ]
+        return [
+            SessionResult(
+                label=label,
+                config_cycles=config_cycles,
+                test_cycles=test_cycles,
+                core_results=[row[index] for row in rows],
+            )
+            for index in range(len(overlays))
+        ]
 
     # -- compile ---------------------------------------------------------
 
@@ -438,45 +523,34 @@ class KernelExecutor:
 
     # -- execute ---------------------------------------------------------
 
-    def _execute_driver(self, driver: _CompiledDriver) -> CoreResult:
-        """One driver on this executor's own live instance."""
-        node = driver.node
-        if driver.kind == "bist":
-            assert isinstance(node, BistNode)
-            (result,) = self.run_driver(driver, [node.engine.fault])
-            return result
-        assert node.wrapper is not None and node.wrapper.core is not None
-        fault = node.wrapper.core.fault
-        if driver.kind == "scan":
-            (result,) = self.run_driver(driver, [fault])
-            return result
-        state = external_chain_state(node)
-        (result,) = self.run_driver(driver, [fault], [state])
-        _load_external_chain(node, state)
-        return result
-
-    def run_driver(
+    def _driver_results(
         self,
         driver: _CompiledDriver,
-        faults: "Sequence[tuple[int, int] | None]",
-        states: "Sequence[list[int]] | None" = None,
+        overlays: "Sequence[dict[str, tuple[int, int] | None]]",
+        chains: "dict[tuple[CasNode, object], list[int]]",
     ) -> "list[CoreResult]":
-        """One :class:`CoreResult` per entry of ``faults``.
+        """One driver's result per overlay, each distinct fault run once.
 
-        ``None`` is the fault-free instance.  The live system's
-        configuration is shared; only the injected stuck-at differs,
-        so a single instance is the case of one fault and
-        :class:`~repro.sim.batch.BatchExecutor` passes its distinct
-        per-core faults.  External drivers also take ``states``: each
-        fault's starting chain contents (scan-in side first), advanced
-        in place to the state the test leaves behind.
+        The live configuration is shared; only the injected stuck-at
+        differs, and ``None`` is the fault-free core.
         """
+        node = driver.node
+        faults = [overlay.get(node.path) for overlay in overlays]
+        distinct = list(dict.fromkeys(faults))
         if driver.kind == "scan":
-            return self._run_scan(driver, faults)
-        if driver.kind == "bist":
-            return self._run_bist(driver, faults)
-        assert states is not None
-        return self._run_external(driver, faults, states)
+            results = self._run_scan(driver, distinct)
+        elif driver.kind == "bist":
+            results = self._run_bist(driver, distinct)
+        else:
+            for fault in distinct:
+                if (node, fault) not in chains:
+                    chains[(node, fault)] = _external_chain_state(node)
+            results = self._run_external(
+                driver, distinct,
+                [chains[(node, fault)] for fault in distinct],
+            )
+        by_fault = dict(zip(distinct, results))
+        return [replace(by_fault[fault]) for fault in faults]
 
     def _run_bist(self, driver, faults) -> "list[CoreResult]":
         node = driver.node
@@ -605,7 +679,7 @@ class KernelExecutor:
         return results
 
 
-def external_chain_state(node: CasNode) -> list[int]:
+def _external_chain_state(node: CasNode) -> list[int]:
     """An externally tested core's live chain contents, scan-in first."""
     wrapper = node.wrapper
     assert wrapper is not None and wrapper.core is not None
@@ -620,7 +694,7 @@ def external_chain_state(node: CasNode) -> list[int]:
 
 
 def _load_external_chain(node: CasNode, state: list[int]) -> None:
-    """Inverse of :func:`external_chain_state`."""
+    """Inverse of :func:`_external_chain_state`."""
     wrapper = node.wrapper
     assert wrapper is not None and wrapper.core is not None
     geo = chain_geometries(wrapper)[0]

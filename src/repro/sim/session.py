@@ -25,16 +25,22 @@ Two interchangeable backends execute plans:
 * ``"kernel"`` -- the compiled engine of :mod:`repro.sim.kernel`:
   sessions are lowered once into bit-packed integer programs and run
   as whole shift bursts; faulty scan captures are vectorised on the
-  array evaluator of :mod:`repro.sim.batch`, the same code
-  :meth:`SessionExecutor.run_batch` amortises over whole scenario
-  batches.  Much faster, bit-exact.
+  array evaluator of :mod:`repro.sim.batch`.  One kernel routine runs
+  a session for one instance and, under :meth:`SessionExecutor.run_batch`,
+  for every stuck-at scenario of a batch at once.  Much faster,
+  bit-exact.
 * ``"legacy"`` -- the original object-stepping path below: every cycle
   routes the bus through every node object.  Required for per-cycle
-  :class:`~repro.sim.trace.TraceRecorder` capture and for gate-level
-  CAS instances.
+  :class:`~repro.sim.trace.TraceRecorder` capture, for transport
+  defects (open/bridged bus wires, dead boundary cells) and for
+  gate-level CAS instances.
 
 The default ``backend="auto"`` picks the kernel whenever it applies
-(no trace requested, no gate-level CAS) and falls back otherwise.
+and falls back otherwise; a pinned ``"kernel"`` raises
+:class:`~repro.errors.ConfigurationError` naming the blocker instead.
+:meth:`SessionExecutor.run_batch` keeps that rule: scenarios the
+kernel cannot take run one fresh system each on the executor's own
+backend.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import values as lv
+from repro.diagnose.inject import build_faulty_system
 from repro.diagnose.syndrome import (
     KIND_BIST,
     KIND_EXTERNAL,
@@ -55,11 +62,12 @@ from repro.bist.lfsr import Lfsr
 from repro.bist.misr import Misr
 from repro.scan.atpg import TestSet
 from repro.soc.core import CoreSpec, TestMethod
+from repro.obs.metrics import counter as obs_counter
 from repro.obs.spans import span as obs_span
 from repro.sim.config import configuration_targets, state_snapshot
 from repro.sim.nodes import BistNode, CasNode, NodeControls, ScanNode
 from repro.sim.plan import CoreAssignment, SessionPlan, TestPlan
-from repro.sim.system import CasBusSystem
+from repro.sim.system import CasBusSystem, build_system
 from repro.sim.testsets import test_set_for
 from repro.sim.trace import TraceRecorder
 from repro.wrapper.wir import Wir
@@ -177,51 +185,70 @@ class SessionExecutor:
 
     # -- pre-dispatch static verification --------------------------------
 
-    def _verify_session(self, session: SessionPlan) -> None:
+    def _verify_session(
+        self,
+        session: SessionPlan,
+        array_paths: "set[tuple[str, ...]]",
+    ) -> None:
         """Fail fast on invariant violations before anything executes.
 
         Runs after the plan's own structural validation, so the
         planner's :class:`~repro.errors.ConfigurationError` surface is
         unchanged; what this adds is the static verifier's deeper
         checks (system wiring bijections, configuration target codes,
-        compiled program packing, and the array program behind every
-        faulty scan capture the compiled kernel will run).
+        compiled program packing, and the array program of every scan
+        core in ``array_paths`` -- the captures the compiled kernel
+        evaluates on the array evaluator).
         """
-        from repro.verify import verify_session_programs, verify_system
+        from repro.verify import (
+            verify_batch_program,
+            verify_session_programs,
+            verify_system,
+        )
 
+        name = self.system.soc.name
         if not self._system_verified:
             # Raise on wiring violations *before* compiling session
             # programs: configuration targets are meaningless (and can
             # raise ConfigurationError) on a corrupted system.
-            verify_system(self.system).raise_if_failed(
-                self.system.soc.name
-            )
+            verify_system(self.system).raise_if_failed(name)
             self._system_verified = True
-        report = verify_session_programs(self.system, session)
-        report.raise_if_failed(self.system.soc.name)
-        if self.backend == "legacy":
-            return
+        verify_session_programs(self.system, session).raise_if_failed(name)
         for assignment in session.assignments:
+            if assignment.path not in array_paths:
+                continue
             node = self.system.node_at(assignment.path)
-            if (isinstance(node, ScanNode)
-                    and node.spec.method == TestMethod.SCAN
-                    and node.wrapper is not None
-                    and node.wrapper.core is not None
-                    and node.wrapper.core.fault is not None):
-                # Function-local: repro.sim.batch imports this module,
-                # and fault-free runs never load numpy.
-                from repro.sim.batch import batch_scan_program
-                from repro.verify import verify_batch_program
+            # Function-local: repro.sim.batch imports this module, and
+            # fault-free runs never load numpy.
+            from repro.sim.batch import batch_scan_program
 
-                verify_batch_program(
-                    batch_scan_program(node.spec, node.wrapper), node.spec,
-                    location=f"batch/{assignment.name}",
-                ).raise_if_failed(self.system.soc.name)
+            verify_batch_program(
+                batch_scan_program(node.spec, node.wrapper), node.spec,
+                location=f"batch/{assignment.name}",
+            ).raise_if_failed(name)
+
+    def _scan_paths(self, *, faulty_only: bool) -> "set[tuple[str, ...]]":
+        """Paths of this system's wrapped scan cores whose captures the
+        compiled kernel evaluates on arrays: with ``faulty_only``, the
+        plain scan cores carrying an injected fault.  None on the
+        legacy backend, which never runs the array evaluator."""
+        if self.backend == "legacy":
+            return set()
+        return {
+            tuple(node.path.split("/"))
+            for node in self.system.walk()
+            if isinstance(node, ScanNode) and node.wrapper is not None
+            and not (faulty_only and (
+                node.spec.method != TestMethod.SCAN
+                or node.wrapper.core is None
+                or node.wrapper.core.fault is None
+            ))
+        }
 
     # -- backend dispatch ------------------------------------------------
 
     def _use_kernel(self) -> bool:
-        from repro.sim.kernel import kernel_supports
+        from repro.sim.kernel import kernel_blocker
 
         if self.backend == "legacy":
             return False
@@ -232,13 +259,14 @@ class SessionExecutor:
                     "records no per-cycle trace; use backend='legacy' "
                     "(or 'auto') for tracing"
                 )
-            if not kernel_supports(self.system):
+            blocker = kernel_blocker(self.system)
+            if blocker is not None:
                 raise ConfigurationError(
-                    f"{self.system.soc.name}: gate-level CAS instances "
-                    f"need backend='legacy'"
+                    f"{self.system.soc.name}: {blocker} needs "
+                    f"backend='legacy'"
                 )
             return True
-        return self.trace is None and kernel_supports(self.system)
+        return self.trace is None and kernel_blocker(self.system) is None
 
     def _kernel_executor(self):
         from repro.sim.kernel import KernelExecutor
@@ -260,8 +288,9 @@ class SessionExecutor:
         ):
             if self.verify:
                 plan.validate(self.system.n)
+                array_paths = self._scan_paths(faulty_only=True)
                 for session in plan.sessions:
-                    self._verify_session(session)
+                    self._verify_session(session, array_paths)
             if self._use_kernel():
                 return self._kernel_executor().run_plan(plan)
             plan.validate(self.system.n)
@@ -283,17 +312,19 @@ class SessionExecutor:
         ``i`` applied -- this executor's own live system is never
         touched.
 
-        Same-geometry scenarios execute through the vectorized batch
-        kernel (:mod:`repro.sim.batch`) in one dispatch per shift
-        window; scenarios the kernel cannot express (transport
-        defects) and ``backend="legacy"`` fall back to per-scenario
-        scalar runs transparently.  Raises
-        :class:`~repro.errors.ConfigurationError` when a trace
-        recorder is attached: the scenarios run on fresh instances
-        that never see it.
+        Stuck-at scenarios share one freshly built system and run in
+        one compiled-kernel dispatch per session
+        (:meth:`~repro.sim.kernel.KernelExecutor.run_batch`).  The rest
+        -- transport defects, and every scenario on
+        ``backend="legacy"`` -- run one fresh system each, on this
+        executor's backend: ``"auto"`` takes the legacy path for
+        transport defects, a pinned ``"kernel"`` raises
+        :class:`~repro.errors.ConfigurationError`.  So does an attached
+        trace recorder: the scenarios run on fresh instances that never
+        see it.
         """
         # Function-local: repro.sim.batch imports this module.
-        from repro.sim.batch import BatchExecutor, scenario_system
+        from repro.sim.batch import scenario_overlay
 
         if self.trace is not None:
             raise ConfigurationError(
@@ -302,22 +333,54 @@ class SessionExecutor:
                 "system with the scenario applied for tracing"
             )
         scenarios = list(scenarios)
-        if self.backend != "legacy":
-            return BatchExecutor(
-                self.system.soc,
-                capture_syndromes=self.capture_syndromes,
-                verify=self.verify,
-            ).run_batch(plan, scenarios)
-        results = []
-        for scenario in scenarios:  # RL005: this IS the scalar fallback
-            executor = SessionExecutor(
-                scenario_system(self.system.soc, scenario),
-                backend=self.backend,
-                capture_syndromes=self.capture_syndromes,
-                verify=self.verify,
+        overlays = [scenario_overlay(scenario) for scenario in scenarios]
+        batchable = [
+            overlay is not None and self.backend != "legacy"
+            for overlay in overlays
+        ]
+        batched = [index for index, ok in enumerate(batchable) if ok]
+        soc = self.system.soc
+        results: "list[ProgramResult | None]" = [None] * len(scenarios)
+        with obs_span(
+            "batch.run", scenarios=len(scenarios), batched=len(batched)
+        ):
+            # Per-scenario runs first: a pinned kernel refuses a
+            # transport defect before the batch dispatch does any work.
+            obs_counter("batch.fallback_scenarios").inc(
+                len(scenarios) - len(batched)
             )
-            results.append(executor.run_plan(plan))
-        return results
+            for index, scenario in enumerate(scenarios):  # RL005
+                if batchable[index]:
+                    continue
+                # A stuck-at overlay is exactly what build_faulty_system
+                # injects; transport defects have none.
+                overlay = overlays[index]
+                system = (
+                    build_faulty_system(soc, scenario) if overlay is None
+                    else build_system(soc, inject_faults=overlay)
+                )
+                results[index] = self._sibling(system).run_plan(plan)
+            if batched:
+                template = self._sibling(build_system(soc))
+                kernel = template._kernel_executor()
+                if self.verify:
+                    plan.validate(template.system.n)
+                    array_paths = template._scan_paths(faulty_only=False)
+                    for session in plan.sessions:
+                        template._verify_session(session, array_paths)
+                programs = kernel.run_batch(
+                    plan, [overlays[index] for index in batched]
+                )
+                for index, program in zip(batched, programs):
+                    results[index] = program
+        return results  # type: ignore[return-value]
+
+    def _sibling(self, system: CasBusSystem) -> "SessionExecutor":
+        """An executor with this one's settings on another instance."""
+        return SessionExecutor(
+            system, backend=self.backend,
+            capture_syndromes=self.capture_syndromes, verify=self.verify,
+        )
 
     def run_session(
         self,
@@ -328,7 +391,9 @@ class SessionExecutor:
     ) -> SessionResult:
         if self.verify:
             session.validate(self.system.n)
-            self._verify_session(session)
+            self._verify_session(
+                session, self._scan_paths(faulty_only=True)
+            )
         if self._use_kernel():
             return self._kernel_executor().run_session(
                 session, label=label, undisturbed_paths=undisturbed_paths

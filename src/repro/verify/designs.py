@@ -5,9 +5,12 @@ figure-1 wiring: every core sits behind a CAS switching exactly its P
 terminals out of the enclosing N-wire bus, and every flat core's P1500
 wrapper chains form a bijection onto its boundary cells and flip-flops.
 A :class:`~repro.diagnose.inject.DefectScenario` must reference parts
-of the SoC that actually exist -- and respect the
-:func:`~repro.sim.kernel.kernel_supports` fallback rules when a
-backend is forced.
+of the SoC that actually exist -- and must not be forced onto the
+compiled kernel when it is a transport defect
+(:func:`~repro.sim.kernel.kernel_blocker`): ``backend="auto"`` runs
+those on the legacy path, single runs and
+:meth:`~repro.sim.session.SessionExecutor.run_batch` scenarios alike,
+while a pinned ``backend="kernel"`` raises at execution time.
 
 Rules::
 
@@ -58,7 +61,7 @@ SCN004 = rule("SCN004", SEVERITY_ERROR,
               "transport defect forced onto the compiled kernel backend")
 
 #: Defect kinds the compiled kernel cannot execute (they corrupt the
-#: TAM transport itself; see :func:`repro.sim.kernel.kernel_supports`).
+#: TAM transport itself; see :func:`repro.sim.kernel.kernel_blocker`).
 TRANSPORT_KINDS = (KIND_OPEN_WIRE, KIND_BRIDGE, KIND_DEAD_CELL)
 
 

@@ -1,15 +1,16 @@
 """Golden equivalence: the vectorized batch kernel vs fresh
 single-instance runs.
 
-The batch executor (:mod:`repro.sim.batch`) lowers one compiled
-program geometry plus N scenario variants into packed word arrays and
-executes the whole batch per dispatch.  Its contract is
+``SessionExecutor.run_batch`` runs every stuck-at scenario on one
+shared instance through the compiled kernel, one dispatch per session,
+with faulty scan captures on the packed word arrays of
+:mod:`repro.sim.batch`.  Its contract is
 *fresh-instance semantics*: element ``i`` of a batch run must be
 byte-identical to a fresh :class:`~repro.sim.session.SessionExecutor`
 over ``scenarios[i]`` -- cycle counts, pass/fail, mismatch counters,
-detail strings and captured syndromes alike.  The compiled kernel
-shares its per-driver code with the batch path, so the independent
-oracle is the legacy object-stepping executor.  These tests pin that
+detail strings and captured syndromes alike.  Single runs and batches
+share the kernel's one session routine, so the independent oracle is
+the legacy object-stepping executor.  These tests pin that
 on the fig-1 SoC (scan, BIST, external and hierarchical victims),
 through the public entry points (``run_batch``, ``run_many``), and as
 a hypothesis property over generated SoCs and mixed-kind defect
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 from repro.bist.engine import random_detectable_fault
 from repro.core.tam import CasBusTamDesign
 from repro.diagnose.inject import random_scenario
-from repro.sim.batch import BatchExecutor
 from repro.sim.session import SessionExecutor
 from repro.sim.system import build_system
 from repro.soc.itc02 import random_soc
@@ -83,7 +83,7 @@ class TestFig1BatchEquivalence:
     def test_batch_matches_scalar_backends(self, backend):
         soc, scenarios = _fig1_scenarios()
         plan = _plan(soc)
-        batch = BatchExecutor(soc).run_batch(plan, scenarios)
+        batch = SessionExecutor(build_system(soc)).run_batch(plan, scenarios)
         scalar = _scalar_reference(soc, plan, scenarios, backend=backend)
         assert batch == scalar
         assert batch[0].passed
@@ -93,9 +93,9 @@ class TestFig1BatchEquivalence:
     def test_syndrome_capture_is_bit_exact(self, backend):
         soc, scenarios = _fig1_scenarios()
         plan = _plan(soc)
-        batch = BatchExecutor(soc, capture_syndromes=True).run_batch(
-            plan, scenarios
-        )
+        batch = SessionExecutor(
+            build_system(soc), capture_syndromes=True
+        ).run_batch(plan, scenarios)
         scalar = _scalar_reference(
             soc, plan, scenarios, backend=backend,
             capture_syndromes=True,
@@ -113,7 +113,7 @@ class TestFig1BatchEquivalence:
     def test_mismatch_counts_are_bit_exact(self):
         soc, scenarios = _fig1_scenarios()
         plan = _plan(soc)
-        batch = BatchExecutor(soc).run_batch(plan, scenarios)
+        batch = SessionExecutor(build_system(soc)).run_batch(plan, scenarios)
         scalar = _scalar_reference(soc, plan, scenarios,
                                    backend="legacy")
         for result_b, result_s in zip(batch, scalar):
@@ -136,7 +136,7 @@ class TestFig1BatchEquivalence:
             DefectScenario.open_wire(1),
             DefectScenario.stuck_at("core2", 3, 1),
         ]
-        batch = BatchExecutor(soc).run_batch(plan, scenarios)
+        batch = SessionExecutor(build_system(soc)).run_batch(plan, scenarios)
         # "auto": a transport-defective system is not kernel-supported,
         # so a pinned scalar backend would refuse what the fallback
         # path legitimately runs on the legacy executor.
@@ -195,6 +195,34 @@ class TestEntryPoints:
             executor.run_batch(_plan(soc), scenarios[:2])
         assert not trace.changes
 
+    def test_run_batch_keeps_pinned_backend(self):
+        """The per-scenario path runs on the executor's own backend: a
+        pinned kernel refuses a transport defect exactly as run_plan
+        does, while "auto" runs it on legacy and counts the fallback."""
+        from repro import obs
+        from repro.diagnose.inject import DefectScenario
+        from repro.errors import ConfigurationError
+
+        soc = fig1_soc()
+        plan = _plan(soc)
+        scenarios = [None, DefectScenario.open_wire(1)]
+        pinned = SessionExecutor(build_system(soc), backend="kernel")
+        with pytest.raises(ConfigurationError, match="open bus wire 1"):
+            pinned.run_batch(plan, scenarios)
+        with obs.capture() as collector:
+            batch = SessionExecutor(build_system(soc)).run_batch(
+                plan, scenarios
+            )
+        assert batch == _scalar_reference(soc, plan, scenarios,
+                                          backend="auto")
+        backends = [
+            span.attrs["backend"] for span in collector.spans()
+            if span.name == "executor.session"
+        ]
+        assert backends.count("legacy") == len(plan.sessions)
+        counters = collector.metrics.snapshot()["counters"]
+        assert counters["batch.fallback_scenarios"] == 1
+
     def test_run_many_routes_fault_sweeps(self):
         from repro.api import Experiment
         from repro.api.runner import _batch_partition, run_many
@@ -240,9 +268,9 @@ class TestBatchProperty:
         scenarios = [None] + [
             random_scenario(soc, seed) for seed in scenario_seeds
         ]
-        batch = BatchExecutor(soc, capture_syndromes=True).run_batch(
-            plan, scenarios
-        )
+        batch = SessionExecutor(
+            build_system(soc), capture_syndromes=True
+        ).run_batch(plan, scenarios)
         scalar = _scalar_reference(
             soc, plan, scenarios, backend="auto",
             capture_syndromes=True,

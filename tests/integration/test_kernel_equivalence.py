@@ -39,6 +39,12 @@ def _run_both(soc, *, inject_faults=None, plan=None):
     return outcomes
 
 
+def _faulty(soc, kind, *args):
+    from repro.diagnose.inject import DefectScenario, build_faulty_system
+
+    return build_faulty_system(soc, getattr(DefectScenario, kind)(*args))
+
+
 def _assert_same_state(system_a, system_b):
     for node_a, node_b in zip(system_a.walk(), system_b.walk()):
         assert node_a.path == node_b.path
@@ -222,6 +228,28 @@ class TestBackendSelection:
         executor = SessionExecutor(system)
         assert not executor._use_kernel()
         with pytest.raises(ConfigurationError, match="gate-level"):
+            KernelExecutor(system)
+
+    @pytest.mark.parametrize("build, blocker", [
+        (lambda soc: _faulty(soc, "open_wire", 1),
+         "open bus wire 1"),
+        (lambda soc: _faulty(soc, "bridge", 0, 2),
+         "bridged bus wires 0 and 2"),
+        (lambda soc: _faulty(soc, "dead_cell", "core2", 3),
+         "dead boundary cell 3 of core2"),
+        (lambda soc: build_system(soc, gate_level={"core6"}),
+         "gate-level CAS core6"),
+    ], ids=["open-wire", "bridge", "dead-cell", "gate-level"])
+    def test_pinned_kernel_names_the_blocker(self, build, blocker):
+        """A pinned kernel refuses each non-kernel system with the
+        reason it actually has, not a blanket gate-level message."""
+        soc = fig1_soc()
+        system = build(soc)
+        assert not kernel_supports(system)
+        plan = CasBusTamDesign.for_soc(soc).executable_plan()
+        with pytest.raises(ConfigurationError, match=blocker):
+            SessionExecutor(system, backend="kernel").run_plan(plan)
+        with pytest.raises(ConfigurationError, match=blocker):
             KernelExecutor(system)
 
     def test_unknown_backend_rejected(self):

@@ -255,9 +255,9 @@ class TestRl008:
         """Mutation test: the numpy fallback shape this rule retired."""
         problems = _check_rl008(lint, (
             "try:\n"
-            "    from repro.sim.batch import BatchExecutor\n"
+            "    from repro.sim.batch import batch_scan_program\n"
             "except ImportError:\n"
-            "    BatchExecutor = None\n"
+            "    batch_scan_program = None\n"
         ))
         assert len(problems) == 1
         assert "RL008" in problems[0]
